@@ -3,6 +3,25 @@
 Numbers are written with 17 significant digits so every value round-trips
 exactly through the decimal form. Exit codes: 0 success, 1 verification
 failure, 2 invalid input, 3 I/O failure.
+
+``qsurface`` and ``phase-diagram`` write a CSV (first line
+``# spin-snr-synth v1``) plus a ``.meta.json`` sidecar in the v1 layout,
+or with ``--format json`` one document tagged ``"schema": "spin-snr-synth
+v2"``. A v2 document holds its rows column-wise, one list per CSV column,
+all lists of a block having the same length:
+
+* ``qsurface``: the sidecar keys (``params``, ``regime``, ``magic_plane``,
+  ``resolution``, ``n_lattice_rows``, ``n_boundary_rows``,
+  ``boundaries``), a name table ``structures``, and two blocks.
+  ``lattice_rows`` has ``y``, ``z``, ``structure``, ``t_control`` and
+  ``q``, row-major as in the CSV. ``boundary_rows`` has the same columns
+  plus ``curve``, the boundary curve each sample lies on. A ``structure``
+  entry is an index into ``structures``.
+* ``phase-diagram``: the sidecar keys (``range_gamma``, ``range_Gamma``,
+  ``resolution``, ``boundaries``), a name table ``regimes``, and the
+  block ``cells`` with ``gamma``, ``Gamma``, ``q_ernst`` (null on
+  unphysical cells), ``regime`` (an index into ``regimes``) and
+  ``physical``, gamma-major as in the CSV.
 """
 
 from __future__ import annotations
@@ -14,7 +33,7 @@ import math
 import os
 import re
 import sys
-from concurrent.futures import ThreadPoolExecutor
+from itertools import chain
 
 import numpy as np
 
@@ -23,14 +42,41 @@ from .bloch import BlochState, RelaxationPair, normalize_params
 from .ernst import ernst_solution, q_max_surface
 from .errors import BallEscapeError, DomainError, SpinSnrError
 from .oracle import run_verification
-from .qsurface import build_trajectory, q_lattice_arrays, q_value
-from .synthesis import ControlStructure, boundary_curves, magic_plane, regime
+from .qsurface import build_trajectory, q_grid_arrays, q_value
+from .synthesis import ControlStructure, SynthesisRegime, boundary_curves, magic_plane, regime
 
 SCHEMA_TAG = "# spin-snr-synth v1"
+JSON_SCHEMA = "spin-snr-synth v2"
+
+_STRUCTURES = tuple(ControlStructure)
+_STRUCTURE_NAMES = np.array([s.value for s in _STRUCTURES], dtype=object)
+_REGIMES = tuple(SynthesisRegime)
+
+#: Rows formatted per ``%`` call when a CSV is streamed to its file.
+_CHUNK_ROWS = 65536
 
 
 def _fmt(x: float) -> str:
     return f"{x:.17g}"
+
+
+def _distinct_strings(col: np.ndarray) -> np.ndarray:
+    """``'%.17g'`` of every element, formatting each distinct bit pattern once."""
+    bits, inverse = np.unique(col.view(np.int64), return_inverse=True)
+    strings = np.array(["%.17g" % v for v in bits.view(np.float64).tolist()], dtype=object)
+    return strings[inverse]
+
+
+def _write_rows(fh, row_fmt: str, columns: list[np.ndarray]) -> None:
+    """Write one ``row_fmt`` line per row of ``columns``, a chunk per ``%`` call.
+
+    ``'%.17g' % x`` gives the same bytes as :func:`_fmt`, inf, nan and -0
+    included; string columns are formatted beforehand and go through ``%s``.
+    """
+    n = len(columns[0])
+    for lo in range(0, n, _CHUNK_ROWS):
+        rows = zip(*(col[lo:lo + _CHUNK_ROWS].tolist() for col in columns))
+        fh.write(row_fmt * min(_CHUNK_ROWS, n - lo) % tuple(chain.from_iterable(rows)))
 
 
 _NUM_NAMES = {"pi": math.pi, "e": math.e}
@@ -70,20 +116,6 @@ def _eval_node(node: ast.AST) -> float:
             ast.Pow: lambda: a**b,
         }[type(node.op)]()
     raise ValueError(f"unsupported expression element {ast.dump(node)}")
-
-
-def thread_cap() -> int:
-    """Worker cap from SPIN_SNR_THREADS (default: cpu count)."""
-    raw = os.environ.get("SPIN_SNR_THREADS", "").strip()
-    if raw:
-        try:
-            n = int(raw)
-        except ValueError:
-            raise DomainError(f"SPIN_SNR_THREADS must be an integer, got {raw!r}")
-        if n < 1:
-            raise DomainError(f"SPIN_SNR_THREADS must be >= 1, got {n}")
-        return n
-    return os.cpu_count() or 1
 
 
 def _add_param_flags(p: argparse.ArgumentParser) -> None:
@@ -143,36 +175,27 @@ def cmd_ernst(args: argparse.Namespace) -> int:
     return 0
 
 
-def _grid_rows(params: RelaxationPair, n_y: int, n_z: int, workers: int):
-    y_axis = np.linspace(0.0, 1.0, n_y)
-    z_axis = np.linspace(-1.0, 1.0, n_z)
-    if workers <= 1 or n_y < 4 * workers:
-        return q_lattice_arrays(params, y_axis, z_axis)
-    blocks = np.array_split(y_axis, workers)
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        parts = list(pool.map(lambda blk: q_lattice_arrays(params, blk, z_axis), blocks))
-    return tuple(np.concatenate([p[i] for p in parts]) for i in range(5))
-
-
 def cmd_qsurface(args: argparse.Namespace) -> int:
     params = resolve_params(args)
-    if args.grid_ny < 2 or args.grid_nz < 2:
-        raise DomainError("grid resolution must be >= 2")
-    y, z, codes, t_c, q = _grid_rows(params, args.grid_ny, args.grid_nz, thread_cap())
-    structures = tuple(ControlStructure)
+    y, z, codes, t_c, q = q_grid_arrays(params, args.grid_ny, args.grid_nz)
     curves = boundary_curves(params, args.boundary_n)
 
-    boundary_rows = []
+    edge = {"curve": [], "y": [], "z": [], "structure": [], "t_control": [], "q": []}
     for name, arr in (
         ("ernst_ellipsoid", curves.ernst_ellipsoid),
         ("magic_radius_circle", curves.magic_radius_circle),
         ("magic_radius_preimage", curves.magic_radius_preimage),
     ):
-        for yy, zz in arr:
+        for yy, zz in arr.tolist():
             if yy < 0.0 or yy * yy + zz * zz >= 1.0:
                 continue
-            sample = q_value(BlochState(float(yy), float(zz)), params)
-            boundary_rows.append((name, sample))
+            sample = q_value(BlochState(yy, zz), params)
+            edge["curve"].append(name)
+            edge["y"].append(sample.m.y)
+            edge["z"].append(sample.m.z)
+            edge["structure"].append(_STRUCTURES.index(sample.structure))
+            edge["t_control"].append(sample.t_control)
+            edge["q"].append(sample.q)
 
     plane = magic_plane(params)
     meta = {
@@ -182,7 +205,7 @@ def cmd_qsurface(args: argparse.Namespace) -> int:
         "magic_plane": {"z0": plane.z0, "present": plane.present},
         "resolution": {"n_y": args.grid_ny, "n_z": args.grid_nz},
         "n_lattice_rows": int(len(y)),
-        "n_boundary_rows": len(boundary_rows),
+        "n_boundary_rows": len(edge["y"]),
         "boundaries": {
             "ernst_ellipsoid": curves.ernst_ellipsoid.tolist(),
             "magic_radius_circle": curves.magic_radius_circle.tolist(),
@@ -191,28 +214,36 @@ def cmd_qsurface(args: argparse.Namespace) -> int:
     }
 
     if args.format == "json":
-        meta["samples"] = [
-            {"y": yi, "z": zi, "structure": structures[ci].value, "t_control": ti, "q": qi}
-            for yi, zi, ci, ti, qi in zip(
-                y.tolist(), z.tolist(), codes.tolist(), t_c.tolist(), q.tolist()
-            )
-        ]
-        _write_text(args.out, json.dumps(meta, indent=2) + "\n")
+        meta["schema"] = JSON_SCHEMA
+        meta["structures"] = _STRUCTURE_NAMES.tolist()
+        meta["lattice_rows"] = {
+            "y": y.tolist(),
+            "z": z.tolist(),
+            "structure": codes.tolist(),
+            "t_control": t_c.tolist(),
+            "q": q.tolist(),
+        }
+        meta["boundary_rows"] = edge
+        _write_text(args.out, json.dumps(meta) + "\n")
         return 0
 
-    lines = [SCHEMA_TAG, "# lattice rows (row-major), then boundary-curve rows", "y,z,structure,t_control,q"]
-    for yi, zi, ci, ti, qi in zip(
-        y.tolist(), z.tolist(), codes.tolist(), t_c.tolist(), q.tolist()
-    ):
-        lines.append(
-            f"{_fmt(yi)},{_fmt(zi)},{structures[ci].value},{_fmt(ti)},{_fmt(qi)}"
+    edge_codes = np.array(edge["structure"], dtype=np.intp)
+    with _open_text(args.out) as fh:
+        fh.write(
+            f"{SCHEMA_TAG}\n# lattice rows (row-major), then boundary-curve rows\n"
+            "y,z,structure,t_control,q\n"
         )
-    for _, sample in boundary_rows:
-        lines.append(
-            f"{_fmt(sample.m.y)},{_fmt(sample.m.z)},{sample.structure.value},"
-            f"{_fmt(sample.t_control)},{_fmt(sample.q)}"
+        _write_rows(
+            fh,
+            "%s,%s,%s,%.17g,%.17g\n",
+            [_distinct_strings(y), _distinct_strings(z), _STRUCTURE_NAMES[codes], t_c, q],
         )
-    _write_text(args.out, "\n".join(lines) + "\n")
+        _write_rows(
+            fh,
+            "%.17g,%.17g,%s,%.17g,%.17g\n",
+            [np.array(edge["y"]), np.array(edge["z"]), _STRUCTURE_NAMES[edge_codes],
+             np.array(edge["t_control"]), np.array(edge["q"])],
+        )
     _write_text(_sidecar_path(args.out), json.dumps(meta, indent=2) + "\n")
     return 0
 
@@ -285,29 +316,33 @@ def cmd_phase_diagram(args: argparse.Namespace) -> int:
             "Gamma_physical": surface.gamma_phys.tolist(),
         },
     }
+    gamma = np.repeat(surface.gamma, len(surface.big_gamma))
+    big_gamma = np.tile(surface.big_gamma, len(surface.gamma))
+    q = surface.q.ravel()
+    regimes = surface.regimes.ravel()
+    physical = surface.physical.ravel()
     if args.format == "json":
-        meta["cells"] = [
-            {
-                "gamma": float(surface.gamma[i]),
-                "Gamma": float(surface.big_gamma[j]),
-                "q_ernst": None if not surface.physical[i, j] else float(surface.q[i, j]),
-                "regime": str(surface.regimes[i, j]),
-                "physical": bool(surface.physical[i, j]),
-            }
-            for i in range(len(surface.gamma))
-            for j in range(len(surface.big_gamma))
-        ]
-        _write_text(args.out, json.dumps(meta, indent=2) + "\n")
+        regime_codes = np.zeros(regimes.shape, dtype=np.int8)
+        for code, reg in enumerate(_REGIMES):
+            regime_codes[regimes == reg.value] = code
+        meta["schema"] = JSON_SCHEMA
+        meta["regimes"] = [reg.value for reg in _REGIMES]
+        meta["cells"] = {
+            "gamma": gamma.tolist(),
+            "Gamma": big_gamma.tolist(),
+            "q_ernst": [v if p else None for v, p in zip(q.tolist(), physical.tolist())],
+            "regime": regime_codes.tolist(),
+            "physical": physical.tolist(),
+        }
+        _write_text(args.out, json.dumps(meta) + "\n")
         return 0
-    lines = [SCHEMA_TAG, "gamma,Gamma,q_ernst,regime,physical"]
-    for i in range(len(surface.gamma)):
-        for j in range(len(surface.big_gamma)):
-            lines.append(
-                f"{_fmt(surface.gamma[i])},{_fmt(surface.big_gamma[j])},"
-                f"{_fmt(surface.q[i, j])},{surface.regimes[i, j]},"
-                f"{1 if surface.physical[i, j] else 0}"
-            )
-    _write_text(args.out, "\n".join(lines) + "\n")
+    with _open_text(args.out) as fh:
+        fh.write(f"{SCHEMA_TAG}\ngamma,Gamma,q_ernst,regime,physical\n")
+        _write_rows(
+            fh,
+            "%s,%s,%.17g,%s,%d\n",
+            [_distinct_strings(gamma), _distinct_strings(big_gamma), q, regimes, physical],
+        )
     _write_text(_sidecar_path(args.out), json.dumps(meta, indent=2) + "\n")
     return 0
 
@@ -341,8 +376,12 @@ def _sidecar_path(path: str) -> str:
     return (root if ext else path) + ".meta.json"
 
 
+def _open_text(path: str):
+    return open(path, "w", encoding="utf-8", newline="\n")
+
+
 def _write_text(path: str, text: str) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+    with _open_text(path) as fh:
         fh.write(text)
 
 

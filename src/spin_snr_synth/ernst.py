@@ -19,7 +19,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import optimize
 
 from .bloch import DETECTION_TIME, BlochState, RelaxationPair, relax
 from .errors import BracketingError, DomainError
@@ -120,6 +119,9 @@ def maximize_q_global(
     best cells, with shrinking-simplex restarts because the maximum sits
     on a ridge where Q is continuous but not smooth.
     """
+    # Imported here: scipy.optimize costs ~0.5 s, and no other entry point needs it.
+    from scipy import optimize
+
     if coarse_n < 64:
         raise DomainError(f"coarse_n must be >= 64, got {coarse_n}")
     y, z, _, _, q = q_grid_arrays(params, coarse_n, coarse_n)
