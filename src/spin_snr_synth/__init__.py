@@ -7,14 +7,12 @@ closed form.
 """
 
 from .bloch import (
-    DEFAULT_STEP,
     DETECTION_TIME,
     EPS_BALL,
     EQUILIBRIUM,
     BlochState,
     ExperimentTiming,
     RelaxationPair,
-    integrate,
     normalize_params,
     radial_speed,
     radial_speed_dtheta,
@@ -43,8 +41,6 @@ from .errors import (
 from .oracle import (
     CycleFixedPoint,
     DeltaPulse,
-    PulseSegment,
-    ShapedPulse,
     SweepResult,
     VerificationCheck,
     VerificationReport,

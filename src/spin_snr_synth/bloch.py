@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
 
 from .errors import BallEscapeError, DomainError, PhysicalityError
 
@@ -29,9 +28,6 @@ EPS_BALL = 1e-12
 
 #: Detection window in normalized time. Fixed by the normalization, not a knob.
 DETECTION_TIME = 1.0
-
-#: Default fixed step of the RK4 integrator.
-DEFAULT_STEP = 1e-4
 
 
 @dataclass(frozen=True)
@@ -175,66 +171,6 @@ def rotate(state: BlochState, phi: float) -> BlochState:
     c = math.cos(phi)
     s = math.sin(phi)
     return BlochState(state.y * c + state.z * s, -state.y * s + state.z * c)
-
-
-def _rhs(y: float, z: float, u: float, big_g: float, small_g: float) -> tuple[float, float]:
-    return (-big_g * y - u * z, small_g * (1.0 - z) + u * y)
-
-
-def integrate(
-    state: BlochState,
-    control: Callable[[float], float],
-    duration: float,
-    params: RelaxationPair,
-    step: float = DEFAULT_STEP,
-) -> BlochState:
-    """Fixed-step RK4 integration of the controlled Bloch equation.
-
-    ``control`` maps time (from the start of this call) to the field u.
-    Global error is O(step^4). Raises :class:`BallEscapeError` if the
-    numerical state leaves the unit disk by more than ``EPS_BALL``.
-    """
-    if duration < 0.0:
-        raise DomainError(f"duration must be >= 0, got {duration}")
-    if step <= 0.0:
-        raise DomainError(f"step must be > 0, got {step}")
-    big_g = params.gamma_t2
-    small_g = params.gamma_t1
-    y, z = state.y, state.z
-    n_full = int(duration / step)
-    for i in range(n_full + 1):
-        t = i * step
-        h = step if i < n_full else duration - n_full * step
-        if h <= 0.0:
-            break
-        y, z = _rk4_step(y, z, t, h, control, big_g, small_g)
-        if y * y + z * z > 1.0 + EPS_BALL:
-            raise BallEscapeError(
-                f"integration left the unit disk at t={t + h} (state ({y}, {z}))"
-            )
-    return BlochState(y, z)
-
-
-def _rk4_step(
-    y: float,
-    z: float,
-    t: float,
-    h: float,
-    control: Callable[[float], float],
-    big_g: float,
-    small_g: float,
-) -> tuple[float, float]:
-    u1 = control(t)
-    u2 = control(t + 0.5 * h)
-    u4 = control(t + h)
-    k1y, k1z = _rhs(y, z, u1, big_g, small_g)
-    k2y, k2z = _rhs(y + 0.5 * h * k1y, z + 0.5 * h * k1z, u2, big_g, small_g)
-    k3y, k3z = _rhs(y + 0.5 * h * k2y, z + 0.5 * h * k2z, u2, big_g, small_g)
-    k4y, k4z = _rhs(y + h * k3y, z + h * k3z, u4, big_g, small_g)
-    return (
-        y + (h / 6.0) * (k1y + 2.0 * k2y + 2.0 * k3y + k4y),
-        z + (h / 6.0) * (k1z + 2.0 * k2z + 2.0 * k3z + k4z),
-    )
 
 
 def radial_speed(state: BlochState, params: RelaxationPair) -> float:

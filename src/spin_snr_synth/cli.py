@@ -85,10 +85,18 @@ _NUM_NAMES = {"pi": math.pi, "e": math.e}
 def parse_number(text: str) -> float:
     """Parse a float or a small arithmetic expression ("2*pi/1.8", "2π").
 
-    A digit directly followed by pi/e multiplies implicitly.
+    Plain float literals ("1e-3", "2.5E+4") parse as floats. In an
+    expression, a digit directly followed by pi, or by an e that starts no
+    exponent, multiplies implicitly ("2pi", "3e").
     """
+    try:
+        value = float(text)
+        if math.isfinite(value):  # "inf"/"nan" stay rejected below
+            return value
+    except ValueError:
+        pass
     s = text.strip().replace("π", "pi")
-    s = re.sub(r"(\d)\s*(pi|e)\b", r"\1*\2", s)
+    s = re.sub(r"(\d)\s*(pi|e)\b(?![+-]\d)", r"\1*\2", s)
     try:
         node = ast.parse(s, mode="eval").body
         return float(_eval_node(node))

@@ -146,7 +146,9 @@ def maximize_q_global(
                 options={
                     "xatol": 1e-12,
                     "fatol": 1e-14,
-                    "maxiter": 4000,
+                    # converging restarts take <= ~210 iterations in regimes
+                    # A, B and C; one stalled on the ridge stops here
+                    "maxiter": 500,
                     "initial_simplex": _simplex(x0, scale),
                 },
             )

@@ -2,8 +2,13 @@
 
 Nothing in this module trusts the analytic travel times or the Ernst
 formulas: steady states are found by iterating the physical cycle map,
-optimal flips by brute-force sweeps, and control durations by RK4
-integration of the actual feedback fields with event stopping. The
+optimal flips by brute-force sweeps, and control durations by
+integrating the actual feedback fields with event stopping. The
+integrator is Dormand-Prince 5(4) with an embedded-error step controller
+(Dormand & Prince, J. Comput. Appl. Math. 6, 19, 1980; Hairer, Norsett &
+Wanner, Solving ODEs I, sec. II.4): each accepted step has an estimated
+local error of at most ``_LOCAL_TOL``, and the step is further capped so
+that the field rotates the state by at most ``_KAPPA`` per step. The
 closed-form layer is accepted only because these checks reproduce it.
 """
 
@@ -16,12 +21,10 @@ from typing import Callable
 import numpy as np
 
 from .bloch import (
-    DEFAULT_STEP,
     DETECTION_TIME,
     EQUILIBRIUM,
     BlochState,
     RelaxationPair,
-    integrate,
     relax,
     rotate,
 )
@@ -30,8 +33,11 @@ from .errors import BracketingError, ConvergenceError, DomainError
 from .qsurface import build_trajectory, control_time, q_value, time_magic
 from .synthesis import boundary_curves, magic_plane
 
-#: Max rotation angle |u|*h per RK4 substep.
+#: Max rotation angle |u|*h per integration step.
 _KAPPA = 0.05
+
+#: Largest accepted local error estimate per step (absolute, in y and z).
+_LOCAL_TOL = 1e-13
 
 #: Magic-plane integration floor; the last sliver is extrapolated.
 _Y_FLOOR = 1e-8
@@ -42,35 +48,6 @@ class DeltaPulse:
     """An instantaneous rotation by ``flip`` (positive tips +z toward +y)."""
 
     flip: float
-
-
-@dataclass(frozen=True)
-class PulseSegment:
-    """A finite piece of a shaped control period.
-
-    kind "const" applies the constant field ``amplitude`` (in the raw
-    equation-of-motion sign convention, so a negative amplitude tips +z
-    toward +y); "magic" applies the magic-plane feedback
-    u = -gamma*(1-z0)/y; "free" is u = 0.
-    """
-
-    kind: str
-    duration: float
-    amplitude: float = 0.0
-
-    def __post_init__(self):
-        if self.kind not in ("const", "magic", "free"):
-            raise DomainError(f"unknown segment kind {self.kind!r}")
-        if self.duration < 0.0:
-            raise DomainError(f"segment duration must be >= 0, got {self.duration}")
-
-
-@dataclass(frozen=True)
-class ShapedPulse:
-    segments: tuple[PulseSegment, ...]
-
-
-PulsePolicy = DeltaPulse | ShapedPulse
 
 
 @dataclass(frozen=True)
@@ -98,20 +75,89 @@ def _rk4_u_step(
     u_fn: Callable[[float, float], float],
     big_g: float,
     small_g: float,
-) -> tuple[float, float]:
-    # state-feedback RK4 step; u is evaluated at every stage point
+) -> tuple[float, float, float]:
+    """One Dormand-Prince 5(4) step of the state-feedback equation of motion.
+
+    u is evaluated at every stage point. Returns the 5th-order state and
+    the max-norm of the embedded (5th minus 4th order) error estimate.
+    The name predates the switch from RK4; ``perfbench`` counts integration
+    steps by wrapping this function under it.
+    """
+
     def rhs(yy: float, zz: float) -> tuple[float, float]:
         u = u_fn(yy, zz)
         return -big_g * yy - u * zz, small_g * (1.0 - zz) + u * yy
 
     k1y, k1z = rhs(y, z)
-    k2y, k2z = rhs(y + 0.5 * h * k1y, z + 0.5 * h * k1z)
-    k3y, k3z = rhs(y + 0.5 * h * k2y, z + 0.5 * h * k2z)
-    k4y, k4z = rhs(y + h * k3y, z + h * k3z)
-    return (
-        y + (h / 6.0) * (k1y + 2.0 * k2y + 2.0 * k3y + k4y),
-        z + (h / 6.0) * (k1z + 2.0 * k2z + 2.0 * k3z + k4z),
+    k2y, k2z = rhs(y + h * (1 / 5) * k1y, z + h * (1 / 5) * k1z)
+    k3y, k3z = rhs(
+        y + h * (3 / 40 * k1y + 9 / 40 * k2y),
+        z + h * (3 / 40 * k1z + 9 / 40 * k2z),
     )
+    k4y, k4z = rhs(
+        y + h * (44 / 45 * k1y - 56 / 15 * k2y + 32 / 9 * k3y),
+        z + h * (44 / 45 * k1z - 56 / 15 * k2z + 32 / 9 * k3z),
+    )
+    k5y, k5z = rhs(
+        y + h * (19372 / 6561 * k1y - 25360 / 2187 * k2y + 64448 / 6561 * k3y - 212 / 729 * k4y),
+        z + h * (19372 / 6561 * k1z - 25360 / 2187 * k2z + 64448 / 6561 * k3z - 212 / 729 * k4z),
+    )
+    k6y, k6z = rhs(
+        y + h * (9017 / 3168 * k1y - 355 / 33 * k2y + 46732 / 5247 * k3y
+                 + 49 / 176 * k4y - 5103 / 18656 * k5y),
+        z + h * (9017 / 3168 * k1z - 355 / 33 * k2z + 46732 / 5247 * k3z
+                 + 49 / 176 * k4z - 5103 / 18656 * k5z),
+    )
+    y5 = y + h * (35 / 384 * k1y + 500 / 1113 * k3y + 125 / 192 * k4y
+                  - 2187 / 6784 * k5y + 11 / 84 * k6y)
+    z5 = z + h * (35 / 384 * k1z + 500 / 1113 * k3z + 125 / 192 * k4z
+                  - 2187 / 6784 * k5z + 11 / 84 * k6z)
+    k7y, k7z = rhs(y5, z5)
+    err_y = h * (71 / 57600 * k1y - 71 / 16695 * k3y + 71 / 1920 * k4y
+                 - 17253 / 339200 * k5y + 22 / 525 * k6y - 1 / 40 * k7y)
+    err_z = h * (71 / 57600 * k1z - 71 / 16695 * k3z + 71 / 1920 * k4z
+                 - 17253 / 339200 * k5z + 22 / 525 * k6z - 1 / 40 * k7z)
+    return y5, z5, max(abs(err_y), abs(err_z))
+
+
+def _step_cap(
+    y: float,
+    z: float,
+    u_fn: Callable[[float, float], float],
+    big_g: float,
+    y_relative_cap: bool,
+) -> float:
+    """Longest step allowed at (y, z): a _KAPPA rotation, and a 5% change of y if asked."""
+    u = u_fn(y, z)
+    cap = _KAPPA / abs(u) if u else math.inf
+    if y_relative_cap:
+        dy = abs(-big_g * y - u * z)
+        if dy:
+            cap = min(cap, 0.05 * abs(y) / dy)
+    return cap
+
+
+def _accepted_step(
+    y: float,
+    z: float,
+    t: float,
+    h: float,
+    u_fn: Callable[[float, float], float],
+    big_g: float,
+    small_g: float,
+) -> tuple[float, float, float, float]:
+    """Shrink h until its step passes _LOCAL_TOL; returns (h, y, z, next h).
+
+    The next proposal scales h by 0.9*(tol/err)^(1/5), kept within [0.2, 5].
+    """
+    while True:
+        y2, z2, err = _rk4_u_step(y, z, h, u_fn, big_g, small_g)
+        factor = 5.0 if err == 0.0 else min(5.0, max(0.2, 0.9 * (_LOCAL_TOL / err) ** 0.2))
+        if err <= _LOCAL_TOL:
+            return h, y2, z2, h * factor
+        h *= factor
+        if t + h == t:
+            raise ConvergenceError(f"step size underflow at t={t}", residual=err)
 
 
 def _integrate_event(
@@ -120,45 +166,38 @@ def _integrate_event(
     u_fn: Callable[[float, float], float],
     event: Callable[[float, float], float],
     t_max: float,
-    step: float,
     params: RelaxationPair,
     y_relative_cap: bool = False,
 ) -> tuple[float, float, float]:
     """Advance the state until event(y, z) >= 0; returns (t, y, z).
 
-    Substeps are capped so each stage rotates by at most _KAPPA and, when
-    ``y_relative_cap`` is set (singular magic feedback), so y changes by
-    at most ~5% per step. The crossing is localized by bisecting the
-    substep length, keeping the event time at RK4 accuracy.
+    Steps are error-controlled and capped by :func:`_step_cap`; when
+    ``y_relative_cap`` is set (singular magic feedback), y changes by at
+    most ~5% per step. The crossing is localized by bisecting the length
+    of the step that crossed it, re-running that one step per probe, so
+    the event time keeps the step's accuracy.
     """
     big_g = params.gamma_t2
     small_g = params.gamma_t1
     if event(y, z) >= 0.0:
         return 0.0, y, z
     t = 0.0
+    h = t_max
     while t < t_max:
-        h = min(step, t_max - t)
-        u_here = abs(u_fn(y, z))
-        if u_here * h > _KAPPA:
-            h = _KAPPA / u_here
-        if y_relative_cap:
-            dy = abs(-big_g * y - u_fn(y, z) * z)
-            if dy * h > 0.05 * abs(y):
-                h = 0.05 * abs(y) / dy
-        y2, z2 = _rk4_u_step(y, z, h, u_fn, big_g, small_g)
+        h = min(h, t_max - t, _step_cap(y, z, u_fn, big_g, y_relative_cap))
+        h, y2, z2, h_next = _accepted_step(y, z, t, h, u_fn, big_g, small_g)
         if event(y2, z2) >= 0.0:
             lo, hi = 0.0, h
             for _ in range(60):
                 mid = 0.5 * (lo + hi)
-                ym, zm = _rk4_u_step(y, z, mid, u_fn, big_g, small_g)
+                ym, zm, _ = _rk4_u_step(y, z, mid, u_fn, big_g, small_g)
                 if event(ym, zm) >= 0.0:
                     hi = mid
                 else:
                     lo = mid
-            ym, zm = _rk4_u_step(y, z, hi, u_fn, big_g, small_g)
+            ym, zm, _ = _rk4_u_step(y, z, hi, u_fn, big_g, small_g)
             return t + hi, ym, zm
-        y, z = y2, z2
-        t += h
+        y, z, t, h = y2, z2, t + h, h_next
     raise BracketingError(f"event not reached within t_max={t_max}")
 
 
@@ -167,59 +206,43 @@ def _integrate_duration(
     z: float,
     u_fn: Callable[[float, float], float],
     duration: float,
-    step: float,
     params: RelaxationPair,
 ) -> tuple[float, float]:
+    """Advance the state for ``duration`` under the field u_fn; returns (y, z)."""
+    if duration < 0.0:
+        raise DomainError(f"duration must be >= 0, got {duration}")
     big_g = params.gamma_t2
     small_g = params.gamma_t1
     t = 0.0
+    h = duration
     while t < duration * (1.0 - 1e-15):
-        h = min(step, duration - t)
-        u_here = abs(u_fn(y, z))
-        if u_here * h > _KAPPA:
-            h = _KAPPA / u_here
-        y, z = _rk4_u_step(y, z, h, u_fn, big_g, small_g)
-        t += h
+        h = min(h, duration - t, _step_cap(y, z, u_fn, big_g, False))
+        h, y, z, h_next = _accepted_step(y, z, t, h, u_fn, big_g, small_g)
+        t, h = t + h, h_next
     return y, z
 
 
-def apply_policy(
-    policy: PulsePolicy,
-    state: BlochState,
-    params: RelaxationPair,
-    step: float = DEFAULT_STEP,
-) -> BlochState:
-    """Run one control period of the policy from the given state."""
-    if isinstance(policy, DeltaPulse):
-        return rotate(state, policy.flip)
-    y, z = state.y, state.z
-    for seg in policy.segments:
-        if seg.kind == "const":
-            u_fn = lambda yy, zz, a=seg.amplitude: a
-        elif seg.kind == "magic":
-            u_fn = _feedback_magic(params)
-        else:
-            u_fn = lambda yy, zz: 0.0
-        y, z = _integrate_duration(y, z, u_fn, seg.duration, step, params)
-    return BlochState(y, z)
+def _magic_sliver_time(
+    y: float, z: float, y_end: float, u_fn: Callable[[float, float], float], params: RelaxationPair
+) -> float:
+    """Time from y down to y_end on the magic plane, from the local slope of w = y^2.
 
-
-def policy_control_time(policy: PulsePolicy) -> float:
-    if isinstance(policy, DeltaPulse):
-        return 0.0
-    return sum(seg.duration for seg in policy.segments)
+    Used below the integration floor, where the feedback is singular; the
+    slope is read off the integrated state, not the closed form.
+    """
+    w_rate = 2.0 * y * (-params.gamma_t2 * y - u_fn(y, z) * z)
+    return (y * y - y_end * y_end) / abs(w_rate)
 
 
 def cycle_fixed_point(
-    policy: PulsePolicy,
+    policy: DeltaPulse,
     params: RelaxationPair,
     tol: float = 1e-12,
     max_iter: int = 10_000,
-    step: float = DEFAULT_STEP,
 ) -> CycleFixedPoint:
-    """Steady state of S -> relax(apply(policy, S), 1), from equilibrium.
+    """Steady state of S -> relax(rotate(S, flip), 1), from equilibrium.
 
-    The cycle map composes a flow with the strictly contracting detection
+    The cycle map composes a rotation with the strictly contracting detection
     relaxation, so iteration converges geometrically; ``max_iter`` only
     guards pathological tolerances.
     """
@@ -227,7 +250,7 @@ def cycle_fixed_point(
         raise DomainError(f"tol must be positive, got {tol}")
     s = EQUILIBRIUM
     for i in range(1, max_iter + 1):
-        m = apply_policy(policy, s, params, step)
+        m = rotate(s, policy.flip)
         s_next = relax(m, DETECTION_TIME, params)
         residual = math.hypot(s_next.y - s.y, s_next.z - s.z)
         s = s_next
@@ -303,15 +326,18 @@ def simulate_structure(
     m: BlochState,
     params: RelaxationPair,
     bang_amplitude: float,
-    step: float = DEFAULT_STEP,
 ) -> tuple[float, float]:
     """Realize the optimal trajectory for m with finite-amplitude bangs.
 
     Bangs become constant pulses of magnitude ``bang_amplitude``; the
     singular arcs run their feedback fields (u = 0 on the axis, the 1/y
     law on the magic plane) with event stopping at the planned targets.
-    Returns the realized control duration and the distance from the
-    achieved endpoint to m. Both converge as O(1/amplitude) + O(step^4).
+    Below ``_Y_FLOOR`` a magic arc's last sliver is extrapolated from the
+    local slope of w = y^2, as in :func:`rk4_time_magic`. Returns the
+    realized control duration and the distance from the achieved endpoint
+    to m. Both converge as O(1/amplitude); the integration error, set by
+    ``_LOCAL_TOL``, is orders of magnitude below that at any practical
+    amplitude.
     """
     if bang_amplitude <= 0.0:
         raise DomainError(f"bang_amplitude must be positive, got {bang_amplitude}")
@@ -325,7 +351,7 @@ def simulate_structure(
                 continue
             u_fn = lambda yy, zz, a=-math.copysign(bang_amplitude, phi): a
             duration = abs(phi) / bang_amplitude
-            y, z = _integrate_duration(y, z, u_fn, duration, step, params)
+            y, z = _integrate_duration(y, z, u_fn, duration, params)
             t_ctrl += duration
         elif seg.kind == "axis_arc":
             z_target = seg.end.z
@@ -334,8 +360,7 @@ def simulate_structure(
                 z,
                 lambda yy, zz: 0.0,
                 lambda yy, zz: zz - z_target,
-                seg.duration + 1.0 + step,
-                step,
+                seg.duration + 1.0,
                 params,
             )
             t_ctrl += t
@@ -347,35 +372,29 @@ def simulate_structure(
                 z,
                 u_fn,
                 lambda yy, zz: y_stop - yy,
-                seg.duration + 1.0 + step,
-                step,
+                seg.duration + 1.0,
                 params,
                 y_relative_cap=True,
             )
             t_ctrl += t
             if seg.end.y < y_stop:
-                # analytic sliver below the floor; the feedback is singular there
-                t_ctrl += time_magic(y, seg.end.y, params)
+                t_ctrl += _magic_sliver_time(y, z, seg.end.y, u_fn, params)
     return t_ctrl, math.hypot(y - m.y, z - m.z)
 
 
-def rk4_time_vertical(
-    z1: float, z2: float, params: RelaxationPair, step: float = DEFAULT_STEP
-) -> float:
-    """Event-stopped RK4 measurement of the axis travel time."""
+def rk4_time_vertical(z1: float, z2: float, params: RelaxationPair) -> float:
+    """Event-stopped integration measurement of the axis travel time."""
     if z2 < z1 or z2 >= 1.0:
         raise DomainError(f"need z1 <= z2 < 1, got ({z1}, {z2})")
     guard = 10.0 + 5.0 * (math.log1p(-z1) - math.log1p(-z2)) / params.gamma_t1
     t, _, _ = _integrate_event(
-        0.0, z1, lambda y, z: 0.0, lambda y, z: z - z2, guard, step, params
+        0.0, z1, lambda y, z: 0.0, lambda y, z: z - z2, guard, params
     )
     return t
 
 
-def rk4_time_magic(
-    y1: float, y2: float, params: RelaxationPair, step: float = DEFAULT_STEP
-) -> float:
-    """Event-stopped RK4 measurement of the magic-plane travel time.
+def rk4_time_magic(y1: float, y2: float, params: RelaxationPair) -> float:
+    """Event-stopped integration measurement of the magic-plane travel time.
 
     For y2 below the integration floor the remaining sliver is
     extrapolated from the local slope of w = y^2, which is read off the
@@ -397,14 +416,11 @@ def rk4_time_magic(
         u_fn,
         lambda yy, zz: y_stop - yy,
         guard,
-        step,
         params,
         y_relative_cap=True,
     )
     if y2 < y_stop:
-        u = u_fn(y, z)
-        w_rate = 2.0 * y * (-params.gamma_t2 * y - u * z)
-        t += (y * y - y2 * y2) / abs(w_rate)
+        t += _magic_sliver_time(y, z, y2, u_fn, params)
     return t
 
 
@@ -422,7 +438,6 @@ def verify_q_surface(
     n_samples: int,
     bang_amplitude: float,
     seed: int = 0,
-    step: float = DEFAULT_STEP,
     q_bias: float = 0.0,
 ) -> float:
     """Worst |Q_analytic - Q_simulated| over random M points.
@@ -435,7 +450,7 @@ def verify_q_surface(
     rng = np.random.default_rng(seed)
     worst = 0.0
     for m in sample_measurement_points(rng, n_samples):
-        t_sim, _ = simulate_structure(m, params, bang_amplitude, step)
+        t_sim, _ = simulate_structure(m, params, bang_amplitude)
         q_sim = m.y / math.sqrt(1.0 + t_sim)
         q_ana = q_value(m, params).q + q_bias
         worst = max(worst, abs(q_ana - q_sim))
@@ -484,7 +499,6 @@ def run_verification(
     n_structure: int = 200,
     n_qsurface: int = 200,
     bang_amplitude: float = 1e4,
-    step: float = DEFAULT_STEP,
     q_bias: float = 0.0,
 ) -> VerificationReport:
     """Full oracle suite against the closed-form layer for one rate pair.
@@ -532,7 +546,7 @@ def run_verification(
         z1 = float(rng.uniform(-0.95, 0.9))
         z2 = float(rng.uniform(z1, 0.95))
         analytic = (math.log1p(-z1) - math.log1p(-z2)) / params.gamma_t1
-        worst_axis = max(worst_axis, abs(rk4_time_vertical(z1, z2, params, step) - analytic))
+        worst_axis = max(worst_axis, abs(rk4_time_vertical(z1, z2, params) - analytic))
     add("axis-time-vs-rk4", 1e-6, worst_axis)
 
     plane = magic_plane(params)
@@ -544,7 +558,7 @@ def run_verification(
             y2 = float(rng.uniform(0.0, y1))
             worst_magic = max(
                 worst_magic,
-                abs(rk4_time_magic(y1, y2, params, step) - time_magic(y1, y2, params)),
+                abs(rk4_time_magic(y1, y2, params) - time_magic(y1, y2, params)),
             )
         add("magic-time-vs-rk4", 1e-6, worst_magic)
 
@@ -552,7 +566,7 @@ def run_verification(
     worst_term = 0.0
     for m in sample_measurement_points(rng, n_structure):
         _, t_closed = control_time(m, params)
-        t_sim, term = simulate_structure(m, params, bang_amplitude, step)
+        t_sim, term = simulate_structure(m, params, bang_amplitude)
         worst_t = max(worst_t, abs(t_sim - t_closed))
         worst_term = max(worst_term, term)
     add("structure-time-vs-simulation", 1e-3, worst_t)
@@ -562,7 +576,7 @@ def run_verification(
         "qsurface-vs-simulation",
         1e-3,
         verify_q_surface(
-            params, n_qsurface, bang_amplitude, seed=seed + 1, step=step, q_bias=q_bias
+            params, n_qsurface, bang_amplitude, seed=seed + 1, q_bias=q_bias
         ),
     )
 

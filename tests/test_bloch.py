@@ -13,7 +13,6 @@ from spin_snr_synth import (
     ExperimentTiming,
     PhysicalityError,
     RelaxationPair,
-    integrate,
     normalize_params,
     radial_speed,
     radial_speed_dtheta,
@@ -22,7 +21,12 @@ from spin_snr_synth import (
     rotate,
     total_snr,
 )
+from spin_snr_synth.oracle import _integrate_duration
 from conftest import disk_states, rate_pairs
+
+
+def _free_field(y, z):
+    return 0.0
 
 
 class TestRelaxationPair:
@@ -146,11 +150,13 @@ class TestRotate:
 
 
 class TestIntegrate:
+    """The oracle's step-controlled integrator against the closed-form flows."""
+
     def test_free_evolution_matches_closed_form(self, params_b):
         s = BlochState(0.6, 0.3)
         exact = relax(s, 1.0, params_b)
-        out = integrate(s, lambda t: 0.0, 1.0, params_b, step=1e-4)
-        assert math.hypot(out.y - exact.y, out.z - exact.z) <= 1e-10
+        y, z = _integrate_duration(s.y, s.z, _free_field, 1.0, params_b)
+        assert math.hypot(y - exact.y, z - exact.z) <= 1e-10
 
     def test_free_evolution_batch(self, params_b):
         rng = np.random.default_rng(2024)
@@ -160,34 +166,32 @@ class TestIntegrate:
             s = BlochState(r * math.cos(th), r * math.sin(th))
             tau = rng.uniform(0.0, 2.0)
             exact = relax(s, tau, params_b)
-            out = integrate(s, lambda t: 0.0, tau, params_b, step=1e-3)
-            assert math.hypot(out.y - exact.y, out.z - exact.z) <= 1e-10
+            y, z = _integrate_duration(s.y, s.z, _free_field, tau, params_b)
+            assert math.hypot(y - exact.y, z - exact.z) <= 1e-10
 
     @pytest.mark.parametrize("amp", [1e2, 1e3, 1e4])
     def test_bang_limit_approaches_rotation(self, params_b, amp):
         # constant u = A over phi/A tends to rotate(s, -phi) as A grows
         s = BlochState(0.3, 0.5)
         phi = 1.1
-        out = integrate(s, lambda t: amp, phi / amp, params_b, step=min(1e-4, 0.01 / amp))
+        y, z = _integrate_duration(s.y, s.z, lambda yy, zz: amp, phi / amp, params_b)
         tgt = rotate(s, -phi)
-        assert math.hypot(out.y - tgt.y, out.z - tgt.z) <= 3.0 / amp
+        assert math.hypot(y - tgt.y, z - tgt.z) <= 3.0 / amp
 
     def test_bang_limit_error_scales_inversely(self, params_b):
         s = BlochState(0.3, 0.5)
         phi = 1.1
         errs = []
         for amp in (1e2, 1e3, 1e4):
-            out = integrate(s, lambda t: amp, phi / amp, params_b, step=0.01 / amp)
+            y, z = _integrate_duration(s.y, s.z, lambda yy, zz: amp, phi / amp, params_b)
             tgt = rotate(s, -phi)
-            errs.append(math.hypot(out.y - tgt.y, out.z - tgt.z))
+            errs.append(math.hypot(y - tgt.y, z - tgt.z))
         assert errs[0] > errs[1] > errs[2]
         assert 5.0 < errs[0] / errs[1] < 20.0
 
     def test_invalid_arguments(self, params_b):
         with pytest.raises(DomainError):
-            integrate(EQUILIBRIUM, lambda t: 0.0, -1.0, params_b)
-        with pytest.raises(DomainError):
-            integrate(EQUILIBRIUM, lambda t: 0.0, 1.0, params_b, step=0.0)
+            _integrate_duration(EQUILIBRIUM.y, EQUILIBRIUM.z, _free_field, -1.0, params_b)
 
 
 class TestRadialSpeed:
@@ -210,8 +214,8 @@ class TestRadialSpeed:
         if s.r < 0.2:
             return
         h = 1e-4
-        s1 = integrate(s, lambda t: 0.0, h, p, step=1e-5)
-        s2 = integrate(s, lambda t: 0.0, 2.0 * h, p, step=1e-5)
+        s1 = BlochState(*_integrate_duration(s.y, s.z, _free_field, h, p))
+        s2 = BlochState(*_integrate_duration(s.y, s.z, _free_field, 2.0 * h, p))
         fd = (s2.r - s.r) / (2.0 * h)  # central difference at t = h
         # truncation ~ (h^2/6)*max|r'''|; r''' grows with rates^3 and 1/r^2
         tol = 1e-7 * (1.0 + p.gamma_t2 + p.gamma_t1) ** 3

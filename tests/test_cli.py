@@ -10,6 +10,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import spin_snr_synth
 from spin_snr_synth import (
@@ -182,3 +184,43 @@ def test_cli_import_leaves_scipy_unloaded():
     res = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
                          timeout=60, check=True)
     assert res.stdout.strip() == "False"
+
+
+_FINITE = st.floats(allow_nan=False, allow_infinity=False)
+
+
+class TestParseNumber:
+    @given(_FINITE)
+    def test_repr_round_trips(self, x):
+        assert cli.parse_number(repr(x)) == x
+
+    @given(_FINITE)
+    def test_scientific_notation(self, x):
+        assert cli.parse_number(f"{x:e}") == pytest.approx(x, rel=1e-6)
+
+    @pytest.mark.parametrize(
+        "text, value",
+        [
+            ("1e-3", 1e-3),
+            ("2.5e-4", 2.5e-4),
+            ("1e+5", 1e5),
+            ("1E-3", 1e-3),
+            ("2*1e-3", 2e-3),
+            ("2pi", 2.0 * math.pi),
+            ("2π", 2.0 * math.pi),
+            ("3e", 3.0 * math.e),
+            ("2*pi/1.8", 2.0 * math.pi / 1.8),
+        ],
+    )
+    def test_examples(self, text, value):
+        assert cli.parse_number(text) == pytest.approx(value, rel=1e-15)
+
+    @pytest.mark.parametrize("text", ["inf", "nan", "2 +", "x"])
+    def test_rejected(self, text):
+        with pytest.raises(spin_snr_synth.DomainError):
+            cli.parse_number(text)
+
+    def test_flag_value_in_scientific_notation(self):
+        args = cli.build_parser().parse_args(["verify", "--amplitude", "1e+5", "--Td", "2.5e-4"])
+        assert args.amplitude == 1e5
+        assert args.Td == 2.5e-4

@@ -1,0 +1,107 @@
+"""The integration oracle: travel times, structure simulation, the verify suite."""
+
+import json
+
+import pytest
+
+from spin_snr_synth import (
+    BlochState,
+    ControlStructure,
+    DomainError,
+    RelaxationPair,
+    control_time,
+    q_value,
+    rk4_time_magic,
+    rk4_time_vertical,
+    run_verification,
+    simulate_structure,
+    time_magic,
+    time_vertical,
+)
+from spin_snr_synth import cli, oracle
+
+#: One rate pair (Gamma, gamma) per synthesis regime.
+REGIMES = {"A": (3.0, 0.5), "B": (1.8, 1.0), "C": (0.5, 0.4)}
+#: Regimes whose magic plane meets the unit disk (it lies below z = -1 at C).
+MAGIC_REGIMES = ("A", "B")
+
+
+def _params(tag):
+    return RelaxationPair(*REGIMES[tag])
+
+
+def _rate_args(tag):
+    big_g, small_g = REGIMES[tag]
+    return ["--Gamma", repr(big_g), "--gamma", repr(small_g)]
+
+
+@pytest.mark.parametrize("tag", sorted(REGIMES))
+def test_axis_time_matches_closed_form(tag):
+    params = _params(tag)
+    for z1, z2 in [(-0.95, 0.95), (-0.5, -0.49), (0.0, 0.9), (0.3, 0.3), (-0.2, 0.6)]:
+        assert rk4_time_vertical(z1, z2, params) == pytest.approx(
+            time_vertical(z1, z2, params), abs=1e-9
+        )
+
+
+@pytest.mark.parametrize("tag", MAGIC_REGIMES)
+def test_magic_time_matches_closed_form(tag):
+    params = _params(tag)
+    for y1, y2 in [(0.9, 0.0), (0.6, 0.3), (0.3, 1e-9), (0.05, 0.0), (0.4, 0.4)]:
+        assert rk4_time_magic(y1, y2, params) == pytest.approx(
+            time_magic(y1, y2, params), abs=1e-9
+        )
+
+
+def test_magic_time_needs_the_plane():
+    with pytest.raises(DomainError):
+        rk4_time_magic(0.5, 0.1, _params("C"))
+
+
+def test_terminal_error_falls_with_amplitude():
+    params = _params("B")
+    m = BlochState(0.333, 0.179)
+    _, err_lo = simulate_structure(m, params, 1e3)
+    _, err_hi = simulate_structure(m, params, 1e4)
+    assert 8.0 < err_lo / err_hi < 12.0
+
+
+def test_simulation_uses_no_closed_form_time(monkeypatch):
+    def closed_form(*args):
+        raise AssertionError("the oracle called a closed-form travel time")
+
+    monkeypatch.setattr(oracle, "time_magic", closed_form)
+    params = _params("B")
+    m = BlochState(0.333, 0.179)
+    assert q_value(m, params).structure is ControlStructure.BShSvNegB
+    t_sim, err = simulate_structure(m, params, 1e4)
+    _, t_closed = control_time(m, params)
+    assert abs(t_sim - t_closed) < 1e-3
+    assert err < 1e-3
+    assert rk4_time_magic(0.5, 0.0, params) > 0.0
+
+
+@pytest.mark.parametrize("tag", sorted(REGIMES))
+def test_verification_passes_at_reduced_counts(tag):
+    report = run_verification(_params(tag), n_transfers=5, n_structure=10, n_qsurface=10)
+    failed = [c.name for c in report.checks if not c.passed]
+    assert report.passed, failed
+    names = {c.name for c in report.checks}
+    assert "axis-time-vs-rk4" in names
+    assert ("magic-time-vs-rk4" in names) == (tag in MAGIC_REGIMES)
+    for c in report.checks:
+        if c.name in ("axis-time-vs-rk4", "magic-time-vs-rk4"):
+            assert c.measured <= 1e-9
+
+
+def test_injected_q_bias_is_caught(capsys):
+    code = cli.main(
+        ["verify", *_rate_args("B"), "--n-transfers", "2", "--n-structure", "2",
+         "--n-qsurface", "3", "--inject-q-bias", "1e-2", "--format", "json"]
+    )
+    assert code == 1
+    report = json.loads(capsys.readouterr().out)
+    assert not report["passed"]
+    failed = {c["name"] for c in report["checks"] if not c["passed"]}
+    assert failed == {"qsurface-vs-simulation"}
+
