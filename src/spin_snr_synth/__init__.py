@@ -40,7 +40,6 @@ from .errors import (
 )
 from .oracle import (
     CycleFixedPoint,
-    DeltaPulse,
     SweepResult,
     VerificationCheck,
     VerificationReport,
@@ -54,13 +53,11 @@ from .oracle import (
     verify_q_surface,
 )
 from .qsurface import (
-    QGrid,
     QSample,
     Segment,
     Trajectory,
     build_trajectory,
     control_time,
-    q_grid,
     q_grid_arrays,
     q_value,
     time_magic,

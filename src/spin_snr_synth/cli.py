@@ -1,8 +1,17 @@
 """Command-line front end with bit-stable file output.
 
 Numbers are written with 17 significant digits so every value round-trips
-exactly through the decimal form. Exit codes: 0 success, 1 verification
-failure, 2 invalid input, 3 I/O failure.
+exactly through the decimal form. A v2 JSON document that would hold inf
+or nan, which JSON cannot represent, is not written (exit 2). Exit codes:
+
+* 0: success.
+* 1: ``verify`` ran and at least one check failed; no other command
+  returns 1.
+* 2: the input was rejected, or a computation could not finish on it
+  (every :class:`~spin_snr_synth.errors.SpinSnrError`, including
+  ``ConvergenceError`` and ``BracketingError``); one ``error:`` line on
+  stderr.
+* 3: a file could not be written (``OSError``).
 
 ``qsurface`` and ``phase-diagram`` write a CSV (first line
 ``# spin-snr-synth v1``) plus a ``.meta.json`` sidecar in the v1 layout,
@@ -40,7 +49,7 @@ import numpy as np
 from . import __version__
 from .bloch import BlochState, RelaxationPair, normalize_params
 from .ernst import ernst_solution, q_max_surface
-from .errors import BallEscapeError, DomainError, SpinSnrError
+from .errors import DomainError, SpinSnrError
 from .oracle import run_verification
 from .qsurface import build_trajectory, q_grid_arrays, q_value
 from .synthesis import ControlStructure, SynthesisRegime, boundary_curves, magic_plane, regime
@@ -195,7 +204,7 @@ def cmd_qsurface(args: argparse.Namespace) -> int:
         ("magic_radius_preimage", curves.magic_radius_preimage),
     ):
         for yy, zz in arr.tolist():
-            if yy < 0.0 or yy * yy + zz * zz >= 1.0:
+            if yy < 0.0 or math.hypot(yy, zz) >= 1.0:  # q_value's own membership test
                 continue
             sample = q_value(BlochState(yy, zz), params)
             edge["curve"].append(name)
@@ -232,7 +241,7 @@ def cmd_qsurface(args: argparse.Namespace) -> int:
             "q": q.tolist(),
         }
         meta["boundary_rows"] = edge
-        _write_text(args.out, json.dumps(meta) + "\n")
+        _write_text(args.out, _strict_json(meta))
         return 0
 
     edge_codes = np.array(edge["structure"], dtype=np.intp)
@@ -342,7 +351,7 @@ def cmd_phase_diagram(args: argparse.Namespace) -> int:
             "regime": regime_codes.tolist(),
             "physical": physical.tolist(),
         }
-        _write_text(args.out, json.dumps(meta) + "\n")
+        _write_text(args.out, _strict_json(meta))
         return 0
     with _open_text(args.out) as fh:
         fh.write(f"{SCHEMA_TAG}\ngamma,Gamma,q_ernst,regime,physical\n")
@@ -391,6 +400,14 @@ def _open_text(path: str):
 def _write_text(path: str, text: str) -> None:
     with _open_text(path) as fh:
         fh.write(text)
+
+
+def _strict_json(doc: dict) -> str:
+    """One-line JSON text; inf and nan, which have no JSON form, raise DomainError."""
+    try:
+        return json.dumps(doc, allow_nan=False) + "\n"
+    except ValueError as exc:
+        raise DomainError(f"non-finite value in the output: {exc}") from None
 
 
 def _emit(path: str | None, text: str) -> None:
@@ -464,15 +481,12 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (DomainError, BallEscapeError) as exc:
+    except SpinSnrError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:
         print(f"I/O error: {exc}", file=sys.stderr)
         return 3
-    except SpinSnrError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
 
 
 if __name__ == "__main__":

@@ -42,13 +42,14 @@ def ernst_solution(params: RelaxationPair) -> ErnstSolution:
     """Closed-form optimal point and Ernst angle for the given rates."""
     big_g = params.gamma_t2
     small_g = params.gamma_t1
-    z_m = 1.0 / (1.0 + math.exp(small_g))
-    # e^G/sqrt(e^(2G)-1) = 1/sqrt(1-e^(-2G)) avoids overflow at large Gamma
-    y_m = math.sqrt(math.expm1(2.0 * small_g)) / (
-        (1.0 + math.exp(small_g)) * math.sqrt(-math.expm1(-2.0 * big_g))
+    # Divided through by e^gamma and e^Gamma, so that no term overflows at large rates.
+    e_g = math.exp(-small_g)
+    z_m = e_g / (1.0 + e_g)
+    y_m = math.sqrt(-math.expm1(-2.0 * small_g)) / (
+        (1.0 + e_g) * math.sqrt(-math.expm1(-2.0 * big_g))
     )
     flip = math.acos(
-        (math.exp(-small_g) + math.exp(-big_g)) / (1.0 + math.exp(-big_g - small_g))
+        (e_g + math.exp(-big_g)) / (1.0 + math.exp(-big_g - small_g))
     )
     m = BlochState(y_m, z_m)
     return ErnstSolution(m, relax(m, DETECTION_TIME, params), y_m, flip)
@@ -128,7 +129,7 @@ def maximize_q_global(
 
     def neg_q(x: np.ndarray) -> float:
         yy, zz = float(x[0]), float(x[1])
-        if yy <= 0.0 or yy * yy + zz * zz >= 1.0:
+        if yy <= 0.0 or math.hypot(yy, zz) >= 1.0:  # q_value's own membership test
             return np.inf
         return -q_value(BlochState(yy, zz), params).q
 

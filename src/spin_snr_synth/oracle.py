@@ -15,7 +15,7 @@ closed-form layer is accepted only because these checks reproduce it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -28,9 +28,9 @@ from .bloch import (
     relax,
     rotate,
 )
-from .ernst import _golden_max, ernst_solution, maximize_q_global
+from .ernst import _golden_max, ernst_solution, maximize_on_ellipsoid, maximize_q_global
 from .errors import BracketingError, ConvergenceError, DomainError
-from .qsurface import build_trajectory, control_time, q_value, time_magic
+from .qsurface import build_trajectory, control_time, q_value, time_magic, time_vertical
 from .synthesis import boundary_curves, magic_plane
 
 #: Max rotation angle |u|*h per integration step.
@@ -42,12 +42,10 @@ _LOCAL_TOL = 1e-13
 #: Magic-plane integration floor; the last sliver is extrapolated.
 _Y_FLOOR = 1e-8
 
-
-@dataclass(frozen=True)
-class DeltaPulse:
-    """An instantaneous rotation by ``flip`` (positive tips +z toward +y)."""
-
-    flip: float
+#: Residual at which the iterated cycle map counts as converged, and the
+#: iteration cap (the map contracts geometrically, so the cap only guards).
+_CYCLE_TOL = 1e-14
+_CYCLE_MAX_ITER = 10_000
 
 
 @dataclass(frozen=True)
@@ -58,14 +56,6 @@ class CycleFixedPoint:
     m: BlochState
     iterations: int
     residual: float
-
-
-def _feedback_magic(params: RelaxationPair) -> Callable[[float, float], float]:
-    plane = magic_plane(params)
-    if not plane.present:
-        raise DomainError("magic feedback undefined: plane outside the unit ball")
-    c = params.gamma_t1 * (1.0 - plane.z0)
-    return lambda y, z: -c / y
 
 
 def _rk4_u_step(
@@ -222,75 +212,76 @@ def _integrate_duration(
     return y, z
 
 
-def _magic_sliver_time(
-    y: float, z: float, y_end: float, u_fn: Callable[[float, float], float], params: RelaxationPair
-) -> float:
-    """Time from y down to y_end on the magic plane, from the local slope of w = y^2.
+def _axis_arc(
+    y: float, z: float, z_end: float, params: RelaxationPair
+) -> tuple[float, float, float]:
+    """Free (u = 0) travel from (y, z) until z reaches z_end; returns (t, y, z)."""
+    guard = 10.0 + 5.0 * (math.log1p(-z) - math.log1p(-z_end)) / params.gamma_t1
+    return _integrate_event(y, z, lambda yy, zz: 0.0, lambda yy, zz: zz - z_end, guard, params)
 
-    Used below the integration floor, where the feedback is singular; the
-    slope is read off the integrated state, not the closed form.
+
+def _magic_arc(
+    y: float, z: float, y_end: float, params: RelaxationPair
+) -> tuple[float, float, float]:
+    """Feedback travel on the magic plane from (y, z) down to y_end; returns (t, y, z).
+
+    The 1/y feedback is singular on the axis, so the integration stops at
+    ``_Y_FLOOR`` and the last sliver's time is extrapolated from the local
+    slope of w = y^2, read off the integrated state, not the closed form.
+    Steps are capped to a ~5% change of y.
     """
-    w_rate = 2.0 * y * (-params.gamma_t2 * y - u_fn(y, z) * z)
-    return (y * y - y_end * y_end) / abs(w_rate)
+    plane = magic_plane(params)
+    if not plane.present:
+        raise DomainError("magic feedback undefined: plane outside the unit ball")
+    c = params.gamma_t1 * (1.0 - plane.z0)
+    u_fn = lambda yy, zz: -c / yy
+    y_stop = max(y_end, _Y_FLOOR)
+    t, y, z = _integrate_event(
+        y,
+        z,
+        u_fn,
+        lambda yy, zz: y_stop - yy,
+        10.0 + 10.0 / params.gamma_t2,
+        params,
+        y_relative_cap=True,
+    )
+    if y_end < y_stop:
+        w_rate = 2.0 * y * (-params.gamma_t2 * y - u_fn(y, z) * z)
+        t += (y * y - y_end * y_end) / abs(w_rate)
+    return t, y, z
 
 
-def cycle_fixed_point(
-    policy: DeltaPulse,
-    params: RelaxationPair,
-    tol: float = 1e-12,
-    max_iter: int = 10_000,
-) -> CycleFixedPoint:
+def cycle_fixed_point(flip: float, params: RelaxationPair) -> CycleFixedPoint:
     """Steady state of S -> relax(rotate(S, flip), 1), from equilibrium.
 
     The cycle map composes a rotation with the strictly contracting detection
-    relaxation, so iteration converges geometrically; ``max_iter`` only
-    guards pathological tolerances.
+    relaxation, so iteration converges geometrically to ``_CYCLE_TOL``.
     """
-    if tol <= 0.0:
-        raise DomainError(f"tol must be positive, got {tol}")
     s = EQUILIBRIUM
-    for i in range(1, max_iter + 1):
-        m = rotate(s, policy.flip)
+    for i in range(1, _CYCLE_MAX_ITER + 1):
+        m = rotate(s, flip)
         s_next = relax(m, DETECTION_TIME, params)
         residual = math.hypot(s_next.y - s.y, s_next.z - s.z)
         s = s_next
-        if residual <= tol:
+        if residual <= _CYCLE_TOL:
             return CycleFixedPoint(s, m, i, residual)
     raise ConvergenceError(
-        f"cycle map did not reach tol={tol} in {max_iter} iterations "
+        f"cycle map did not reach tol={_CYCLE_TOL} in {_CYCLE_MAX_ITER} iterations "
         f"(last residual {residual})",
         residual=residual,
     )
 
 
 def delta_pulse_fixed_point(
-    flip: float, params: RelaxationPair
-) -> tuple[BlochState, BlochState]:
-    """Directly solved steady state (S, M) of the delta-pulse cycle.
+    flip: float | np.ndarray, params: RelaxationPair
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Directly solved steady state (S_y, S_z) and signal y_m of the delta-pulse cycle.
 
-    The cycle map is affine, S -> D*R(flip)*S + d with D the detection
-    decay and d the recovery offset, so its fixed point is a 2x2 solve.
+    Elementwise in ``flip`` (NumPy scalars for a float). The cycle map is affine,
+    S -> D*R(flip)*S + d with D the detection decay and d the recovery
+    offset, so its fixed point is a 2x2 solve. y_m is Q, since a delta
+    pulse costs no time.
     """
-    e2 = math.exp(-params.gamma_t2 * DETECTION_TIME)
-    e1 = math.exp(-params.gamma_t1 * DETECTION_TIME)
-    c = math.cos(flip)
-    s = math.sin(flip)
-    det = (1.0 - e2 * c) * (1.0 - e1 * c) + e1 * e2 * s * s
-    sz = (1.0 - e1) * (1.0 - e2 * c) / det
-    sy = e2 * s * sz / (1.0 - e2 * c) if abs(1.0 - e2 * c) > 1e-300 else 0.0
-    steady = BlochState(sy, sz)
-    return steady, rotate(steady, flip)
-
-
-@dataclass(frozen=True)
-class SweepResult:
-    best_flip: float
-    best_q: float
-    table: np.ndarray = field(repr=False)  # (n, 2) columns (flip, q)
-
-
-def _delta_q(flip: np.ndarray, params: RelaxationPair) -> np.ndarray:
-    """Vectorized steady-state y_m(flip); equals Q since delta pulses cost no time."""
     e2 = math.exp(-params.gamma_t2 * DETECTION_TIME)
     e1 = math.exp(-params.gamma_t1 * DETECTION_TIME)
     c = np.cos(flip)
@@ -298,28 +289,32 @@ def _delta_q(flip: np.ndarray, params: RelaxationPair) -> np.ndarray:
     det = (1.0 - e2 * c) * (1.0 - e1 * c) + e1 * e2 * s * s
     sz = (1.0 - e1) * (1.0 - e2 * c) / det
     sy = e2 * s * sz / (1.0 - e2 * c)
-    return c * sy + s * sz
+    return sy, sz, c * sy + s * sz
 
 
-def sweep_delta_pulse(params: RelaxationPair, n: int = 2000) -> SweepResult:
+@dataclass(frozen=True)
+class SweepResult:
+    best_flip: float
+    best_q: float
+
+
+def sweep_delta_pulse(params: RelaxationPair) -> SweepResult:
     """Brute-force rediscovery of the optimal flip angle.
 
-    Evaluates the steady-state signal on an n-point grid of flip angles
+    Evaluates the steady-state signal on a 2000-point grid of flip angles
     in (0, pi), then refines the best cell by golden section.
     """
-    if n < 100:
-        raise DomainError(f"n must be >= 100, got {n}")
-    flips = np.linspace(0.0, math.pi, n + 2)[1:-1]
-    q = _delta_q(flips, params)
+    flips = np.linspace(0.0, math.pi, 2002)[1:-1]
+    _, _, q = delta_pulse_fixed_point(flips, params)
     i = int(np.argmax(q))
     lo = flips[i - 1] if i > 0 else 0.0
     hi = flips[i + 1] if i < len(flips) - 1 else math.pi
 
     def q_scalar(flip: float) -> float:
-        return float(_delta_q(np.array([flip]), params)[0])
+        return float(delta_pulse_fixed_point(np.array([flip]), params)[2][0])
 
     best = _golden_max(q_scalar, lo, hi, 1e-12)
-    return SweepResult(best, q_scalar(best), np.column_stack((flips, q)))
+    return SweepResult(best, q_scalar(best))
 
 
 def simulate_structure(
@@ -331,54 +326,32 @@ def simulate_structure(
 
     Bangs become constant pulses of magnitude ``bang_amplitude``; the
     singular arcs run their feedback fields (u = 0 on the axis, the 1/y
-    law on the magic plane) with event stopping at the planned targets.
-    Below ``_Y_FLOOR`` a magic arc's last sliver is extrapolated from the
-    local slope of w = y^2, as in :func:`rk4_time_magic`. Returns the
-    realized control duration and the distance from the achieved endpoint
-    to m. Both converge as O(1/amplitude); the integration error, set by
-    ``_LOCAL_TOL``, is orders of magnitude below that at any practical
-    amplitude.
+    law on the magic plane) with event stopping at the planned targets,
+    exactly as :func:`rk4_time_vertical` and :func:`rk4_time_magic` do.
+    Only the planned geometry is used, never a planned duration. Returns
+    the realized control duration and the distance from the achieved
+    endpoint to m. Both converge as O(1/amplitude); the integration
+    error, set by ``_LOCAL_TOL``, is orders of magnitude below that at any
+    practical amplitude.
     """
     if bang_amplitude <= 0.0:
         raise DomainError(f"bang_amplitude must be positive, got {bang_amplitude}")
-    traj = build_trajectory(m, params, include_detection=False)
+    traj = build_trajectory(m, params)
     y, z = traj.s.y, traj.s.z
     t_ctrl = 0.0
-    for seg in traj.segments:
+    for seg in traj.segments[:-1]:  # all but the detection leg
         if seg.kind == "bang":
             phi = math.atan2(z, y) - seg.end.theta
             if phi == 0.0:
                 continue
             u_fn = lambda yy, zz, a=-math.copysign(bang_amplitude, phi): a
-            duration = abs(phi) / bang_amplitude
-            y, z = _integrate_duration(y, z, u_fn, duration, params)
-            t_ctrl += duration
+            t = abs(phi) / bang_amplitude
+            y, z = _integrate_duration(y, z, u_fn, t, params)
         elif seg.kind == "axis_arc":
-            z_target = seg.end.z
-            t, y, z = _integrate_event(
-                y,
-                z,
-                lambda yy, zz: 0.0,
-                lambda yy, zz: zz - z_target,
-                seg.duration + 1.0,
-                params,
-            )
-            t_ctrl += t
+            t, y, z = _axis_arc(y, z, seg.end.z, params)
         else:  # magic_arc
-            y_stop = max(seg.end.y, _Y_FLOOR)
-            u_fn = _feedback_magic(params)
-            t, y, z = _integrate_event(
-                y,
-                z,
-                u_fn,
-                lambda yy, zz: y_stop - yy,
-                seg.duration + 1.0,
-                params,
-                y_relative_cap=True,
-            )
-            t_ctrl += t
-            if seg.end.y < y_stop:
-                t_ctrl += _magic_sliver_time(y, z, seg.end.y, u_fn, params)
+            t, y, z = _magic_arc(y, z, seg.end.y, params)
+        t_ctrl += t
     return t_ctrl, math.hypot(y - m.y, z - m.z)
 
 
@@ -386,20 +359,11 @@ def rk4_time_vertical(z1: float, z2: float, params: RelaxationPair) -> float:
     """Event-stopped integration measurement of the axis travel time."""
     if z2 < z1 or z2 >= 1.0:
         raise DomainError(f"need z1 <= z2 < 1, got ({z1}, {z2})")
-    guard = 10.0 + 5.0 * (math.log1p(-z1) - math.log1p(-z2)) / params.gamma_t1
-    t, _, _ = _integrate_event(
-        0.0, z1, lambda y, z: 0.0, lambda y, z: z - z2, guard, params
-    )
-    return t
+    return _axis_arc(0.0, z1, z2, params)[0]
 
 
 def rk4_time_magic(y1: float, y2: float, params: RelaxationPair) -> float:
-    """Event-stopped integration measurement of the magic-plane travel time.
-
-    For y2 below the integration floor the remaining sliver is
-    extrapolated from the local slope of w = y^2, which is read off the
-    integrated state rather than the closed form.
-    """
+    """Event-stopped integration measurement of the magic-plane travel time."""
     plane = magic_plane(params)
     if not plane.present:
         raise DomainError("magic plane does not intersect the unit ball for these rates")
@@ -407,28 +371,12 @@ def rk4_time_magic(y1: float, y2: float, params: RelaxationPair) -> float:
         raise DomainError(f"need y1 >= y2 >= 0, got ({y1}, {y2})")
     if y1 == y2:
         return 0.0
-    u_fn = _feedback_magic(params)
-    y_stop = max(y2, _Y_FLOOR)
-    guard = 10.0 + 10.0 / params.gamma_t2
-    t, y, z = _integrate_event(
-        y1,
-        plane.z0,
-        u_fn,
-        lambda yy, zz: y_stop - yy,
-        guard,
-        params,
-        y_relative_cap=True,
-    )
-    if y2 < y_stop:
-        t += _magic_sliver_time(y, z, y2, u_fn, params)
-    return t
+    return _magic_arc(y1, plane.z0, y2, params)[0]
 
 
-def sample_measurement_points(
-    rng: np.random.Generator, n: int, r_max: float = 0.999
-) -> list[BlochState]:
-    """n points drawn uniformly (by area) from the open half-disk."""
-    r = r_max * np.sqrt(rng.uniform(size=n))
+def sample_measurement_points(rng: np.random.Generator, n: int) -> list[BlochState]:
+    """n points drawn uniformly (by area) from the half-disk of radius 0.999."""
+    r = 0.999 * np.sqrt(rng.uniform(size=n))
     phi = rng.uniform(-0.5 * math.pi, 0.5 * math.pi, size=n)
     return [BlochState(float(ri * math.cos(p)), float(ri * math.sin(p))) for ri, p in zip(r, phi)]
 
@@ -521,8 +469,10 @@ def run_verification(
         math.hypot(closure.y - sol.m.y, closure.z - sol.m.z),
     )
     add("ernst-radius-balance", 1e-12, abs(sol.s.r - sol.m.r))
+    peak = maximize_on_ellipsoid(params).m
+    add("ellipsoid-max-vs-closed-form", 1e-9, math.hypot(peak.y - sol.m.y, peak.z - sol.m.z))
 
-    fp = cycle_fixed_point(DeltaPulse(sol.flip), params, tol=1e-14)
+    fp = cycle_fixed_point(sol.flip, params)
     add(
         "cycle-iteration-matches-closed-form",
         1e-9,
@@ -530,11 +480,9 @@ def run_verification(
     )
     worst_affine = 0.0
     for flip in rng.uniform(0.1, math.pi - 0.1, size=8):
-        s_direct, _ = delta_pulse_fixed_point(float(flip), params)
-        s_iter = cycle_fixed_point(DeltaPulse(float(flip)), params, tol=1e-14).s
-        worst_affine = max(
-            worst_affine, math.hypot(s_direct.y - s_iter.y, s_direct.z - s_iter.z)
-        )
+        sy, sz, _ = delta_pulse_fixed_point(float(flip), params)
+        s_iter = cycle_fixed_point(float(flip), params).s
+        worst_affine = max(worst_affine, math.hypot(sy - s_iter.y, sz - s_iter.z))
     add("affine-vs-iterated-fixed-point", 1e-12, worst_affine)
 
     sweep = sweep_delta_pulse(params)
@@ -545,7 +493,7 @@ def run_verification(
     for _ in range(n_transfers):
         z1 = float(rng.uniform(-0.95, 0.9))
         z2 = float(rng.uniform(z1, 0.95))
-        analytic = (math.log1p(-z1) - math.log1p(-z2)) / params.gamma_t1
+        analytic = time_vertical(z1, z2, params)
         worst_axis = max(worst_axis, abs(rk4_time_vertical(z1, z2, params) - analytic))
     add("axis-time-vs-rk4", 1e-6, worst_axis)
 
@@ -609,7 +557,7 @@ def boundary_q_jump(params: RelaxationPair, n_per_curve: int, offset: float) -> 
         for sign in (1.0, -1.0):
             yy = y + sign * offset * ny
             zz = z + sign * offset * nz
-            if yy <= 0.0 or yy * yy + zz * zz >= 1.0:
+            if yy <= 0.0 or math.hypot(yy, zz) >= 1.0:
                 return 0.0
             pts.append(q_value(BlochState(yy, zz), params).q)
         return abs(pts[0] - pts[1])

@@ -8,18 +8,31 @@ dw/dt = -2*Gamma*w + 2*gamma*(1-z0)*z0. Q(M) = y_m/sqrt(1 + Tc(M)) is
 continuous but not smooth across the region boundaries; composing Tc
 from trajectory segments (rather than one formula per sheet) makes that
 continuity automatic.
+
+There are two paths. The scalar one plans each point once (``_plan``:
+structure, steady state and singular arcs with their travel times);
+:func:`control_time`, :func:`q_value` and :func:`build_trajectory` read
+that plan. The array one, :func:`q_lattice_arrays`, evaluates a whole
+lattice with the same decision list written as masks. Both keep a point
+only when r_m = hypot(y, z) < 1; their times can differ in the last bit.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .bloch import DETECTION_TIME, BlochState, RelaxationPair, relax
 from .errors import DomainError
-from .synthesis import CLASSIFY_TOL, ControlStructure, MagicPlane, _classify_radii, magic_plane
+from .synthesis import (
+    CLASSIFY_TOL,
+    ControlStructure,
+    _checked_relax,
+    _classify_radii,
+    magic_plane,
+)
 
 
 def time_vertical(z1: float, z2: float, params: RelaxationPair) -> float:
@@ -51,41 +64,50 @@ def time_magic(y1: float, y2: float, params: RelaxationPair) -> float:
     return math.log((y1 * y1 - w_inf) / (y2 * y2 - w_inf)) / (2.0 * params.gamma_t2)
 
 
-def control_time(
-    m: BlochState, params: RelaxationPair, tol: float = CLASSIFY_TOL
-) -> tuple[ControlStructure, float]:
-    """Structure tag and control duration Tc for the measurement point m."""
-    if m.y < 0.0:
-        raise DomainError(f"measurement point must have y >= 0, got y={m.y}")
-    r_m = m.r
-    if r_m >= 1.0:
-        raise DomainError(f"measurement point must lie in the open unit disk, |m|={r_m}")
-    r_s = relax(m, DETECTION_TIME, params).r
+#: One singular arc of a plan: (kind, y1, z1, y2, z2, duration), kind being
+#: "axis_arc" or "magic_arc".
+_Arc = tuple[str, float, float, float, float, float]
+
+
+def _plan(
+    m: BlochState, params: RelaxationPair
+) -> tuple[ControlStructure, BlochState, tuple[_Arc, ...]]:
+    """Structure, steady state S and the singular arcs from S to m, in travel order.
+
+    A bang (instantaneous rotation) joins S to the first arc and the last
+    arc to m; with no arc (structure B) one bang joins S to m.
+    """
+    r_m, s = _checked_relax(m, params)
+    r_s = s.r
     plane = magic_plane(params)
-    structure = _classify_radii(r_m, r_s, plane, tol)
-    return structure, _segment_time(structure, r_m, r_s, plane, params)
-
-
-def _segment_time(
-    structure: ControlStructure,
-    r_m: float,
-    r_s: float,
-    plane: MagicPlane,
-    params: RelaxationPair,
-) -> float:
+    structure = _classify_radii(r_m, r_s, plane)
     if structure is ControlStructure.B:
-        return 0.0
-    if structure is ControlStructure.BSvPosB:
-        return time_vertical(r_s, r_m, params)
-    if structure is ControlStructure.BSvNegB:
-        return time_vertical(-r_s, -r_m, params)
-    z0 = plane.z0
-    y_in = math.sqrt(max(0.0, r_s * r_s - z0 * z0))
-    if structure is ControlStructure.BShB:
-        y_out = math.sqrt(max(0.0, r_m * r_m - z0 * z0))
-        return time_magic(y_in, y_out, params)
-    # BShSvNegB: ride the plane to the axis, then the axis up to -r_m.
-    return time_magic(y_in, 0.0, params) + time_vertical(z0, -r_m, params)
+        arcs = ()
+    elif structure is ControlStructure.BSvPosB:
+        arcs = (("axis_arc", 0.0, r_s, 0.0, r_m, time_vertical(r_s, r_m, params)),)
+    elif structure is ControlStructure.BSvNegB:
+        arcs = (("axis_arc", 0.0, -r_s, 0.0, -r_m, time_vertical(-r_s, -r_m, params)),)
+    else:
+        z0 = plane.z0
+        y_in = math.sqrt(max(0.0, r_s * r_s - z0 * z0))
+        if structure is ControlStructure.BShB:
+            y_out = math.sqrt(max(0.0, r_m * r_m - z0 * z0))
+            arcs = (("magic_arc", y_in, z0, y_out, z0, time_magic(y_in, y_out, params)),)
+        else:  # BShSvNegB: ride the plane to the axis, then the axis up to -r_m
+            arcs = (
+                ("magic_arc", y_in, z0, 0.0, z0, time_magic(y_in, 0.0, params)),
+                ("axis_arc", 0.0, z0, 0.0, -r_m, time_vertical(z0, -r_m, params)),
+            )
+    return structure, s, arcs
+
+
+def control_time(m: BlochState, params: RelaxationPair) -> tuple[ControlStructure, float]:
+    """Structure tag and control duration Tc for the measurement point m."""
+    structure, _, arcs = _plan(m, params)
+    t_c = 0.0
+    for arc in arcs:
+        t_c += arc[-1]  # the duration
+    return structure, t_c
 
 
 @dataclass(frozen=True)
@@ -98,22 +120,10 @@ class QSample:
     q: float
 
 
-@dataclass(frozen=True)
-class QGrid:
-    """Row-major lattice evaluation of Q over the open half-disk."""
-
-    params: RelaxationPair
-    resolution: tuple[int, int]
-    samples: list[QSample] = field(repr=False)
-
-
 def q_value(m: BlochState, params: RelaxationPair) -> QSample:
     """Figure of merit Q = y_m/sqrt(1 + Tc) at a single M point."""
     structure, t_c = control_time(m, params)
     return QSample(m, structure, t_c, m.y / math.sqrt(1.0 + t_c))
-
-
-_STRUCTURE_CODES = tuple(ControlStructure)  # index -> structure
 
 
 def q_grid_arrays(
@@ -137,13 +147,14 @@ def q_lattice_arrays(
     yy, zz = np.meshgrid(y_axis, z_axis, indexing="ij")
     y = yy.ravel()
     z = zz.ravel()
-    keep = (y > 0.0) & (y * y + z * z < 1.0)
+    r_m = np.hypot(y, z)
+    keep = (y > 0.0) & (r_m < 1.0)
     y = y[keep]
     z = z[keep]
+    r_m = r_m[keep]
 
     big_g = params.gamma_t2
     small_g = params.gamma_t1
-    r_m = np.hypot(y, z)
     ys = y * math.exp(-big_g * DETECTION_TIME)
     zs = 1.0 + (z - 1.0) * math.exp(-small_g * DETECTION_TIME)
     r_s = np.hypot(ys, zs)
@@ -184,18 +195,6 @@ def q_lattice_arrays(
 
     q = y / np.sqrt(1.0 + t_c)
     return y, z, codes, t_c, q
-
-
-def q_grid(params: RelaxationPair, n_y: int, n_z: int) -> QGrid:
-    """Lattice evaluation of :func:`q_value` over the open half-disk."""
-    y, z, codes, t_c, q = q_grid_arrays(params, n_y, n_z)
-    samples = [
-        QSample(BlochState(yi, zi), _STRUCTURE_CODES[ci], ti, qi)
-        for yi, zi, ci, ti, qi in zip(
-            y.tolist(), z.tolist(), codes.tolist(), t_c.tolist(), q.tolist()
-        )
-    ]
-    return QGrid(params, (n_y, n_z), samples)
 
 
 @dataclass(frozen=True)
@@ -241,55 +240,28 @@ class Trajectory:
     t_control: float
 
 
-def build_trajectory(
-    m: BlochState, params: RelaxationPair, include_detection: bool = True
-) -> Trajectory:
+def build_trajectory(m: BlochState, params: RelaxationPair) -> Trajectory:
     """Construct the segment list realizing the optimal structure for m.
 
     Bangs are recorded with their signed flip angle (positive tips +z
     toward +y) and zero duration; arc durations come from the closed-form
-    travel times.
+    travel times. The last segment is the detection from m back to S.
     """
-    structure, t_total = control_time(m, params)
-    s = relax(m, DETECTION_TIME, params)
-    plane = magic_plane(params)
-    r_m, r_s = m.r, s.r
+    structure, s, arcs = _plan(m, params)
     segs: list[Segment] = []
+    here = s
+    t_c = 0.0
+    for kind, y1, z1, y2, z2, duration in arcs:
+        start = BlochState(y1, z1)
+        if not segs:
+            segs.append(_bang(s, start))
+        here = BlochState(y2, z2)
+        segs.append(Segment(kind, start, here, duration))
+        t_c += duration
+    segs.append(_bang(here, m))
+    segs.append(Segment("detection", m, s, DETECTION_TIME, params=params))
+    return Trajectory(m, s, structure, tuple(segs), t_c)
 
-    def bang(a: BlochState, b: BlochState) -> None:
-        segs.append(Segment("bang", a, b, 0.0, flip=a.theta - b.theta))
 
-    if structure is ControlStructure.B:
-        bang(s, m)
-    elif structure is ControlStructure.BSvPosB:
-        p1 = BlochState(0.0, r_s)
-        p2 = BlochState(0.0, r_m)
-        bang(s, p1)
-        segs.append(Segment("axis_arc", p1, p2, time_vertical(r_s, r_m, params)))
-        bang(p2, m)
-    elif structure is ControlStructure.BSvNegB:
-        p1 = BlochState(0.0, -r_s)
-        p2 = BlochState(0.0, -r_m)
-        bang(s, p1)
-        segs.append(Segment("axis_arc", p1, p2, time_vertical(-r_s, -r_m, params)))
-        bang(p2, m)
-    else:
-        z0 = plane.z0
-        y1 = math.sqrt(max(0.0, r_s * r_s - z0 * z0))
-        p1 = BlochState(y1, z0)
-        bang(s, p1)
-        if structure is ControlStructure.BShB:
-            y2 = math.sqrt(max(0.0, r_m * r_m - z0 * z0))
-            p2 = BlochState(y2, z0)
-            segs.append(Segment("magic_arc", p1, p2, time_magic(y1, y2, params)))
-            bang(p2, m)
-        else:  # BShSvNegB
-            p2 = BlochState(0.0, z0)
-            p3 = BlochState(0.0, -r_m)
-            segs.append(Segment("magic_arc", p1, p2, time_magic(y1, 0.0, params)))
-            segs.append(Segment("axis_arc", p2, p3, time_vertical(z0, -r_m, params)))
-            bang(p3, m)
-
-    if include_detection:
-        segs.append(Segment("detection", m, s, DETECTION_TIME, params=params))
-    return Trajectory(m, s, structure, tuple(segs), t_total)
+def _bang(a: BlochState, b: BlochState) -> Segment:
+    return Segment("bang", a, b, 0.0, flip=a.theta - b.theta)

@@ -94,15 +94,14 @@ def zero_radial_speed_residual(state: BlochState, params: RelaxationPair) -> flo
     )
 
 
-def _classify_radii(
-    r_m: float, r_s: float, plane: MagicPlane, tol: float = CLASSIFY_TOL
-) -> ControlStructure:
-    """Decision list shared by the scalar and vectorized classifiers.
+def _classify_radii(r_m: float, r_s: float, plane: MagicPlane) -> ControlStructure:
+    """Decision list of the scalar path (:func:`classify` and ``qsurface._plan``).
 
+    ``qsurface.q_lattice_arrays`` writes the same comparisons as masks.
     Ties resolve to the structure whose extra segment degenerates to zero
     length, so the control time is continuous across the tie.
     """
-    if abs(r_s - r_m) <= tol:
+    if abs(r_s - r_m) <= CLASSIFY_TOL:
         return ControlStructure.B
     if r_s < r_m:
         return ControlStructure.BSvPosB
@@ -116,20 +115,27 @@ def _classify_radii(
     return ControlStructure.BSvNegB
 
 
-def classify(
-    m: BlochState, params: RelaxationPair, tol: float = CLASSIFY_TOL
-) -> ControlStructure:
-    """Optimal control structure for the measurement point m.
+def _checked_relax(m: BlochState, params: RelaxationPair) -> tuple[float, BlochState]:
+    """(r_m, S) for a measurement point m in the open half-disk, else DomainError.
 
-    m must lie in the open half-disk (y >= 0, r < 1).
+    Membership is decided on r_m = hypot(y, z), the radius every later
+    comparison uses; ``q_lattice_arrays`` keeps a point on the same test.
     """
     if m.y < 0.0:
         raise DomainError(f"measurement point must have y >= 0, got y={m.y}")
     r_m = m.r
     if r_m >= 1.0:
         raise DomainError(f"measurement point must lie in the open unit disk, |m|={r_m}")
-    r_s = relax(m, DETECTION_TIME, params).r
-    return _classify_radii(r_m, r_s, magic_plane(params), tol)
+    return r_m, relax(m, DETECTION_TIME, params)
+
+
+def classify(m: BlochState, params: RelaxationPair) -> ControlStructure:
+    """Optimal control structure for the measurement point m.
+
+    m must lie in the open half-disk (y >= 0, r < 1).
+    """
+    r_m, s = _checked_relax(m, params)
+    return _classify_radii(r_m, s.r, magic_plane(params))
 
 
 def regime_boundaries(gamma: float) -> tuple[float, float]:
@@ -142,8 +148,9 @@ def regime_boundaries(gamma: float) -> tuple[float, float]:
     """
     if gamma <= 0.0:
         raise DomainError(f"gamma must be positive, got {gamma}")
-    # (1-3e^g)/(1-e^g) = 3 + 2/(e^g - 1), stable for small gamma via expm1.
-    gamma_ab = 0.5 * gamma * (3.0 + 2.0 / math.expm1(gamma))
+    # (1-3e^g)/(1-e^g) = 3 + 2/(e^g - 1), stable for small gamma via expm1;
+    # past g = 700 the term is below 1e-303, and expm1 would overflow at ~710.
+    gamma_ab = 0.5 * gamma * (3.0 + 2.0 / math.expm1(min(gamma, 700.0)))
     return gamma_ab, 1.5 * gamma
 
 

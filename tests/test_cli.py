@@ -91,9 +91,10 @@ class TestCsvByteIdentity:
         out = run_qsurface(tmp_path, tag, 97, 101)
         assert out.read_bytes() == reference_qsurface_csv(RelaxationPair(*REGIMES[tag]), 97, 101)
 
-    def test_qsurface_rim_rows_with_inf(self, tmp_path):
+    def test_qsurface_rim_rows_finite(self, tmp_path):
+        # lattice points (80/89, +-39/89) have y^2 + z^2 < 1 but hypot(y, z) == 1
         expected = reference_qsurface_csv(RelaxationPair(*REGIMES["B"]), 90, 90)
-        assert expected.count(b",inf,") == 2  # the two known disk-rim rows
+        assert b"inf" not in expected and b"nan" not in expected
         assert run_qsurface(tmp_path, "B", 90, 90).read_bytes() == expected
 
     def test_qsurface_larger_than_one_chunk(self, tmp_path):
@@ -168,6 +169,11 @@ class TestJsonV2:
             else:
                 assert row[2] == "nan" and cells["q_ernst"][i] is None
 
+    def test_nonfinite_value_refused(self):
+        for bad in (math.inf, -math.inf, math.nan):
+            with pytest.raises(spin_snr_synth.DomainError):
+                cli._strict_json({"q": [0.5, bad]})
+
     def test_csv_sidecars_keep_v1(self, tmp_path):
         run_qsurface(tmp_path, "C", 20, 20)
         run_phase(tmp_path, 8, 8)
@@ -224,3 +230,39 @@ class TestParseNumber:
         args = cli.build_parser().parse_args(["verify", "--amplitude", "1e+5", "--Td", "2.5e-4"])
         assert args.amplitude == 1e5
         assert args.Td == 2.5e-4
+
+
+class TestExitCodes:
+    def test_success(self, capsys):
+        assert cli.main(["ernst", *_rates("B")]) == 0
+
+    def test_verification_failure(self, capsys):
+        argv = ["verify", *_rates("B"), "--n-transfers", "2", "--n-structure", "2",
+                "--n-qsurface", "3", "--inject-q-bias", "1e-2"]
+        assert cli.main(argv) == 1
+
+    def test_unphysical_rates(self, capsys):
+        assert cli.main(["ernst", "--Gamma", "0.2", "--gamma", "1.0"]) == 2
+        assert capsys.readouterr().err.startswith("error:")
+
+    def test_computation_error(self, monkeypatch, capsys):
+        def no_convergence(params):
+            raise spin_snr_synth.ConvergenceError("no convergence", residual=1.0)
+
+        monkeypatch.setattr(cli, "ernst_solution", no_convergence)
+        assert cli.main(["ernst", *_rates("B")]) == 2
+        assert capsys.readouterr().err.startswith("error:")
+
+    def test_unwritable_output(self, tmp_path, capsys):
+        out = tmp_path / "missing" / "qs.csv"
+        assert cli.main(["qsurface", *_rates("C"), "--grid-ny", "8", "--grid-nz", "8",
+                         "--out", str(out)]) == 3
+
+
+@pytest.mark.parametrize("rates, q", [(("800", "400"), 1.0), (("1e5", "1"), 0.6798)])
+def test_ernst_finite_at_large_rates(capsys, rates, q):
+    assert cli.main(["ernst", "--Gamma", rates[0], "--gamma", rates[1], "--format", "json"]) == 0
+    doc = json.loads(capsys.readouterr().out, parse_constant=lambda token: pytest.fail(token))
+    numbers = [doc["q"], doc["flip_rad"], *doc["m"].values(), *doc["s"].values()]
+    assert all(math.isfinite(v) for v in numbers)
+    assert doc["q"] == pytest.approx(q, abs=5e-5)

@@ -1,6 +1,7 @@
 """The integration oracle: travel times, structure simulation, the verify suite."""
 
 import json
+from dataclasses import replace
 
 import pytest
 
@@ -87,7 +88,7 @@ def test_verification_passes_at_reduced_counts(tag):
     failed = [c.name for c in report.checks if not c.passed]
     assert report.passed, failed
     names = {c.name for c in report.checks}
-    assert "axis-time-vs-rk4" in names
+    assert {"axis-time-vs-rk4", "ellipsoid-max-vs-closed-form"} <= names
     assert ("magic-time-vs-rk4" in names) == (tag in MAGIC_REGIMES)
     for c in report.checks:
         if c.name in ("axis-time-vs-rk4", "magic-time-vs-rk4"):
@@ -105,3 +106,13 @@ def test_injected_q_bias_is_caught(capsys):
     failed = {c["name"] for c in report["checks"] if not c["passed"]}
     assert failed == {"qsurface-vs-simulation"}
 
+
+def test_perturbed_ernst_point_is_caught(monkeypatch):
+    params = _params("B")
+    sol = oracle.ernst_solution(params)
+    moved = BlochState(sol.m.y, sol.m.z + 1e-7)
+    monkeypatch.setattr(oracle, "ernst_solution", lambda p: replace(sol, m=moved))
+    report = run_verification(params, n_transfers=2, n_structure=2, n_qsurface=2)
+    check = next(c for c in report.checks if c.name == "ellipsoid-max-vs-closed-form")
+    assert not check.passed
+    assert check.measured == pytest.approx(1e-7, rel=1e-3)

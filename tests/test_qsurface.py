@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from spin_snr_synth import (
@@ -13,7 +13,6 @@ from spin_snr_synth import (
     build_trajectory,
     control_time,
     magic_plane,
-    q_grid,
     q_grid_arrays,
     q_value,
     relax,
@@ -21,6 +20,7 @@ from spin_snr_synth import (
     time_magic,
     time_vertical,
 )
+from spin_snr_synth.qsurface import q_lattice_arrays
 from conftest import half_disk_states, rate_pairs
 
 ERNST_POINT_B = BlochState(0.6892739804246589, 0.2689414213699951)
@@ -236,20 +236,16 @@ class TestQValue:
 
 class TestQGrid:
     def test_lattice_membership_and_order(self, params_b):
-        grid = q_grid(params_b, 48, 48)
-        assert grid.resolution == (48, 48)
-        ys = [s.m.y for s in grid.samples]
-        zs = [s.m.z for s in grid.samples]
-        assert all(y > 0.0 and y * y + z * z < 1.0 for y, z in zip(ys, zs))
+        y, z, _, _, _ = q_grid_arrays(params_b, 48, 48)
+        assert len(y) > 0
+        assert np.all((y > 0.0) & (np.hypot(y, z) < 1.0))
         # row-major: y never decreases, z increases within a y row
-        for a, b in zip(grid.samples, grid.samples[1:]):
-            assert b.m.y > a.m.y or (b.m.y == a.m.y and b.m.z > a.m.z)
+        assert np.all((y[1:] > y[:-1]) | ((y[1:] == y[:-1]) & (z[1:] > z[:-1])))
 
     def test_samples_self_consistent(self, params_b):
-        grid = q_grid(params_b, 48, 48)
-        for s in grid.samples[:: max(1, len(grid.samples) // 200)]:
-            assert s.q == s.m.y / math.sqrt(1.0 + s.t_control)
-            assert 0.0 <= s.q < 1.0
+        y, _, _, t_c, q = q_grid_arrays(params_b, 48, 48)
+        assert np.array_equal(q, y / np.sqrt(1.0 + t_c))
+        assert np.all((0.0 <= q) & (q < 1.0))
 
     def test_vectorized_matches_scalar(self, params_b):
         y, z, codes, t_c, q = q_grid_arrays(params_b, 64, 64)
@@ -267,7 +263,26 @@ class TestQGrid:
 
     def test_minimum_resolution(self, params_b):
         with pytest.raises(DomainError):
-            q_grid(params_b, 1, 10)
+            q_grid_arrays(params_b, 1, 10)
+
+    @given(rate_pairs(), st.integers(2, 2048), st.integers(2, 2048), st.floats(0.0, 1.0))
+    @example(RelaxationPair(1.8, 1.0), 90, 90, 79.5 / 88)  # rim rows (80/89, +-39/89)
+    @settings(max_examples=100, deadline=None)
+    def test_scalar_raises_exactly_where_lattice_drops(self, p, n_y, n_z, y_frac):
+        # one whole lattice row with y > 0, both of its disk-rim crossings included
+        y_axis = np.linspace(0.0, 1.0, n_y)
+        z_axis = np.linspace(-1.0, 1.0, n_z)
+        i = 1 + int(y_frac * (n_y - 2))
+        _, z, codes, _, _ = q_lattice_arrays(p, y_axis[i:i + 1], z_axis)
+        kept = dict(zip(z.tolist(), codes.tolist()))
+        structures = tuple(ControlStructure)
+        for zi in z_axis.tolist():
+            try:
+                structure, _ = control_time(BlochState(float(y_axis[i]), zi), p)
+            except DomainError:
+                assert zi not in kept
+            else:
+                assert structures[kept[zi]] is structure
 
 
 class TestTrajectory:
