@@ -4,6 +4,14 @@ Exact planar Bloch dynamics, the five-way optimal-control classification
 of measurement points, the analytic figure-of-merit surface Q, the Ernst
 solution, and an ODE-based oracle that independently verifies every
 closed form.
+
+Importing the package loads no numpy: the scalar layer (``bloch``,
+``classify``, ``control_time``, ``q_value``, ``build_trajectory``,
+``ernst_solution``) runs on :mod:`math`, so the ``ernst``, ``classify``
+and ``trajectory`` commands never load it. The functions that build
+arrays (the lattice kernel, the boundary curves, the rate-plane surface
+and the oracle) import numpy when first called, and
+``maximize_q_global`` also scipy.
 """
 
 from .bloch import (

@@ -13,6 +13,12 @@ or nan, which JSON cannot represent, is not written (exit 2). Exit codes:
   stderr.
 * 3: a file could not be written (``OSError``).
 
+``--version``, ``ernst``, ``classify`` and ``trajectory`` compute with
+:mod:`math` alone and never import numpy. numpy is imported by the
+commands that build arrays, ``qsurface``, ``phase-diagram`` and
+``verify``, inside the functions that build them; scipy only by
+``verify``.
+
 ``qsurface`` and ``phase-diagram`` write a CSV (first line
 ``# spin-snr-synth v1``) plus a ``.meta.json`` sidecar in the v1 layout,
 or with ``--format json`` one document tagged ``"schema": "spin-snr-synth
@@ -44,8 +50,6 @@ import re
 import sys
 from itertools import chain
 
-import numpy as np
-
 from . import __version__
 from .bloch import BlochState, RelaxationPair, normalize_params
 from .ernst import ernst_solution, q_max_surface
@@ -58,7 +62,7 @@ SCHEMA_TAG = "# spin-snr-synth v1"
 JSON_SCHEMA = "spin-snr-synth v2"
 
 _STRUCTURES = tuple(ControlStructure)
-_STRUCTURE_NAMES = np.array([s.value for s in _STRUCTURES], dtype=object)
+_STRUCTURE_NAMES = tuple(s.value for s in _STRUCTURES)
 _REGIMES = tuple(SynthesisRegime)
 
 #: Rows formatted per ``%`` call when a CSV is streamed to its file.
@@ -71,6 +75,8 @@ def _fmt(x: float) -> str:
 
 def _distinct_strings(col: np.ndarray) -> np.ndarray:
     """``'%.17g'`` of every element, formatting each distinct bit pattern once."""
+    import numpy as np
+
     bits, inverse = np.unique(col.view(np.int64), return_inverse=True)
     strings = np.array(["%.17g" % v for v in bits.view(np.float64).tolist()], dtype=object)
     return strings[inverse]
@@ -193,6 +199,8 @@ def cmd_ernst(args: argparse.Namespace) -> int:
 
 
 def cmd_qsurface(args: argparse.Namespace) -> int:
+    import numpy as np
+
     params = resolve_params(args)
     y, z, codes, t_c, q = q_grid_arrays(params, args.grid_ny, args.grid_nz)
     curves = boundary_curves(params, args.boundary_n)
@@ -232,18 +240,13 @@ def cmd_qsurface(args: argparse.Namespace) -> int:
 
     if args.format == "json":
         meta["schema"] = JSON_SCHEMA
-        meta["structures"] = _STRUCTURE_NAMES.tolist()
-        meta["lattice_rows"] = {
-            "y": y.tolist(),
-            "z": z.tolist(),
-            "structure": codes.tolist(),
-            "t_control": t_c.tolist(),
-            "q": q.tolist(),
-        }
+        meta["structures"] = list(_STRUCTURE_NAMES)
+        meta["lattice_rows"] = {"y": y, "z": z, "structure": codes, "t_control": t_c, "q": q}
         meta["boundary_rows"] = edge
-        _write_text(args.out, _strict_json(meta))
+        _write_text(args.out, *_strict_json(meta))
         return 0
 
+    names = np.array(_STRUCTURE_NAMES, dtype=object)
     edge_codes = np.array(edge["structure"], dtype=np.intp)
     with _open_text(args.out) as fh:
         fh.write(
@@ -253,12 +256,12 @@ def cmd_qsurface(args: argparse.Namespace) -> int:
         _write_rows(
             fh,
             "%s,%s,%s,%.17g,%.17g\n",
-            [_distinct_strings(y), _distinct_strings(z), _STRUCTURE_NAMES[codes], t_c, q],
+            [_distinct_strings(y), _distinct_strings(z), names[codes], t_c, q],
         )
         _write_rows(
             fh,
             "%.17g,%.17g,%s,%.17g,%.17g\n",
-            [np.array(edge["y"]), np.array(edge["z"]), _STRUCTURE_NAMES[edge_codes],
+            [np.array(edge["y"]), np.array(edge["z"]), names[edge_codes],
              np.array(edge["t_control"]), np.array(edge["q"])],
         )
     _write_text(_sidecar_path(args.out), json.dumps(meta, indent=2) + "\n")
@@ -281,7 +284,7 @@ def _point_report(args: argparse.Namespace) -> int:
                 "end": _state_dict(seg.end),
                 "duration": seg.duration,
                 "flip": seg.flip,
-                "polyline": seg.polyline(args.polyline_n).tolist(),
+                "polyline": seg.polyline(args.polyline_n),
             }
         )
     payload = {
@@ -318,6 +321,8 @@ def _point_report(args: argparse.Namespace) -> int:
 
 
 def cmd_phase_diagram(args: argparse.Namespace) -> int:
+    import numpy as np
+
     g_lo, g_hi = args.range_gamma
     bg_lo, bg_hi = args.range_Gamma
     surface = q_max_surface((g_lo, g_hi), (bg_lo, bg_hi), (args.grid_ny, args.grid_nz))
@@ -345,13 +350,13 @@ def cmd_phase_diagram(args: argparse.Namespace) -> int:
         meta["schema"] = JSON_SCHEMA
         meta["regimes"] = [reg.value for reg in _REGIMES]
         meta["cells"] = {
-            "gamma": gamma.tolist(),
-            "Gamma": big_gamma.tolist(),
+            "gamma": gamma,
+            "Gamma": big_gamma,
             "q_ernst": [v if p else None for v, p in zip(q.tolist(), physical.tolist())],
-            "regime": regime_codes.tolist(),
-            "physical": physical.tolist(),
+            "regime": regime_codes,
+            "physical": physical,
         }
-        _write_text(args.out, _strict_json(meta))
+        _write_text(args.out, *_strict_json(meta))
         return 0
     with _open_text(args.out) as fh:
         fh.write(f"{SCHEMA_TAG}\ngamma,Gamma,q_ernst,regime,physical\n")
@@ -397,17 +402,39 @@ def _open_text(path: str):
     return open(path, "w", encoding="utf-8", newline="\n")
 
 
-def _write_text(path: str, text: str) -> None:
+def _write_text(path: str, *parts: str) -> None:
     with _open_text(path) as fh:
-        fh.write(text)
+        fh.writelines(parts)
 
 
-def _strict_json(doc: dict) -> str:
-    """One-line JSON text; inf and nan, which have no JSON form, raise DomainError."""
+def _strict_json(doc: dict) -> list[str]:
+    """The pieces of ``json.dumps(doc, allow_nan=False) + "\\n"``, in order.
+
+    Dicts are encoded key by key and every other value on its own; an
+    array (anything with ``tolist``) becomes a list only when its turn
+    comes, so one column at a time exists as Python objects. inf and nan,
+    which have no JSON form, raise DomainError before any file is opened.
+    """
+    pieces: list[str] = []
     try:
-        return json.dumps(doc, allow_nan=False) + "\n"
+        _encode_json(doc, pieces)
     except ValueError as exc:
         raise DomainError(f"non-finite value in the output: {exc}") from None
+    pieces.append("\n")
+    return pieces
+
+
+def _encode_json(value, pieces: list[str]) -> None:
+    if isinstance(value, dict):
+        pieces.append("{")
+        for i, (key, item) in enumerate(value.items()):
+            pieces.append(f"{', ' if i else ''}{json.dumps(key)}: ")
+            _encode_json(item, pieces)
+        pieces.append("}")
+        return
+    if hasattr(value, "tolist"):
+        value = value.tolist()
+    pieces.append(json.dumps(value, allow_nan=False))
 
 
 def _emit(path: str | None, text: str) -> None:

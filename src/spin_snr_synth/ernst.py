@@ -18,8 +18,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .bloch import DETECTION_TIME, BlochState, RelaxationPair, relax
 from .errors import BracketingError, DomainError
 from .qsurface import q_grid_arrays, q_value
@@ -120,7 +118,9 @@ def maximize_q_global(
     best cells, with shrinking-simplex restarts because the maximum sits
     on a ridge where Q is continuous but not smooth.
     """
-    # Imported here: scipy.optimize costs ~0.5 s, and no other entry point needs it.
+    # Imported here: scipy.optimize costs ~0.5 s, and no other entry point needs it;
+    # numpy, as in every array function, so that importing the package loads neither.
+    import numpy as np
     from scipy import optimize
 
     if coarse_n < 64:
@@ -130,12 +130,12 @@ def maximize_q_global(
     def neg_q(x: np.ndarray) -> float:
         yy, zz = float(x[0]), float(x[1])
         if yy <= 0.0 or math.hypot(yy, zz) >= 1.0:  # q_value's own membership test
-            return np.inf
+            return math.inf
         return -q_value(BlochState(yy, zz), params).q
 
     starts = np.argsort(q)[-5:]
     best_x = None
-    best_val = np.inf
+    best_val = math.inf
     for idx in starts:
         x0 = np.array([y[idx], z[idx]])
         val = -q[idx]
@@ -150,7 +150,7 @@ def maximize_q_global(
                     # converging restarts take <= ~210 iterations in regimes
                     # A, B and C; one stalled on the ridge stops here
                     "maxiter": 500,
-                    "initial_simplex": _simplex(x0, scale),
+                    "initial_simplex": np.array([x0, x0 + [scale, 0.0], x0 + [0.0, scale]]),
                 },
             )
             if res.fun < val:
@@ -158,10 +158,6 @@ def maximize_q_global(
         if val < best_val:
             best_x, best_val = x0, val
     return BlochState(float(best_x[0]), float(best_x[1])), -best_val
-
-
-def _simplex(x0: np.ndarray, scale: float) -> np.ndarray:
-    return np.array([x0, x0 + [scale, 0.0], x0 + [0.0, scale]])
 
 
 @dataclass(frozen=True)
@@ -186,7 +182,14 @@ class QMaxSurface:
 
 
 def ernst_q(big_g: np.ndarray, small_g: np.ndarray) -> np.ndarray:
-    """Vectorized closed-form optimal Q (the y coordinate of the Ernst point)."""
+    """Vectorized closed-form optimal Q (the y coordinate of the Ernst point).
+
+    gamma is clamped at 350, below the overflow of expm1(2*gamma) at ~355;
+    the quotient has reached 1/sqrt(1 - e^(-2*Gamma)) long before.
+    """
+    import numpy as np
+
+    small_g = np.minimum(small_g, 350.0)
     return np.sqrt(np.expm1(2.0 * small_g)) / (
         (1.0 + np.exp(small_g)) * np.sqrt(-np.expm1(-2.0 * big_g))
     )
@@ -198,6 +201,8 @@ def q_max_surface(
     n: tuple[int, int],
 ) -> QMaxSurface:
     """Evaluate the optimal Q over a rate lattice with regime annotations."""
+    import numpy as np
+
     (g_lo, g_hi), (bg_lo, bg_hi) = gamma_range, big_gamma_range
     n_g, n_bg = n
     if g_lo <= 0.0 or bg_lo <= 0.0 or g_hi <= g_lo or bg_hi <= bg_lo:

@@ -18,8 +18,6 @@ import math
 from dataclasses import dataclass
 from typing import Callable
 
-import numpy as np
-
 from .bloch import (
     DETECTION_TIME,
     EQUILIBRIUM,
@@ -282,6 +280,8 @@ def delta_pulse_fixed_point(
     offset, so its fixed point is a 2x2 solve. y_m is Q, since a delta
     pulse costs no time.
     """
+    import numpy as np
+
     e2 = math.exp(-params.gamma_t2 * DETECTION_TIME)
     e1 = math.exp(-params.gamma_t1 * DETECTION_TIME)
     c = np.cos(flip)
@@ -304,6 +304,8 @@ def sweep_delta_pulse(params: RelaxationPair) -> SweepResult:
     Evaluates the steady-state signal on a 2000-point grid of flip angles
     in (0, pi), then refines the best cell by golden section.
     """
+    import numpy as np
+
     flips = np.linspace(0.0, math.pi, 2002)[1:-1]
     _, _, q = delta_pulse_fixed_point(flips, params)
     i = int(np.argmax(q))
@@ -376,6 +378,8 @@ def rk4_time_magic(y1: float, y2: float, params: RelaxationPair) -> float:
 
 def sample_measurement_points(rng: np.random.Generator, n: int) -> list[BlochState]:
     """n points drawn uniformly (by area) from the half-disk of radius 0.999."""
+    import numpy as np
+
     r = 0.999 * np.sqrt(rng.uniform(size=n))
     phi = rng.uniform(-0.5 * math.pi, 0.5 * math.pi, size=n)
     return [BlochState(float(ri * math.cos(p)), float(ri * math.sin(p))) for ri, p in zip(r, phi)]
@@ -393,6 +397,8 @@ def verify_q_surface(
     ``q_bias`` is a test-harness hook that perturbs the analytic value,
     so the check provably fails when the formula path is wrong.
     """
+    import numpy as np
+
     if n_samples < 1:
         raise DomainError(f"n_samples must be >= 1, got {n_samples}")
     rng = np.random.default_rng(seed)
@@ -454,6 +460,8 @@ def run_verification(
     ``q_bias`` feeds :func:`verify_q_surface` and exists only so tests can
     confirm that a perturbed formula is caught.
     """
+    import numpy as np
+
     rng = np.random.default_rng(seed)
     checks: list[VerificationCheck] = []
 

@@ -22,8 +22,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .bloch import DETECTION_TIME, BlochState, RelaxationPair, relax
 from .errors import DomainError
 from .synthesis import (
@@ -135,6 +133,8 @@ def q_grid_arrays(
     (y outer, z inner), restricted to {0 < y, y^2 + z^2 < 1}. ``code``
     indexes into ``tuple(ControlStructure)``.
     """
+    import numpy as np
+
     if n_y < 2 or n_z < 2:
         raise DomainError(f"grid resolution must be >= 2, got ({n_y}, {n_z})")
     return q_lattice_arrays(params, np.linspace(0.0, 1.0, n_y), np.linspace(-1.0, 1.0, n_z))
@@ -144,6 +144,8 @@ def q_lattice_arrays(
     params: RelaxationPair, y_axis: np.ndarray, z_axis: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Same as :func:`q_grid_arrays` for explicit axis vectors (chunkable)."""
+    import numpy as np
+
     yy, zz = np.meshgrid(y_axis, z_axis, indexing="ij")
     y = yy.ravel()
     z = zz.ravel()
@@ -215,18 +217,38 @@ class Segment:
     flip: float | None = None
     params: RelaxationPair | None = None
 
-    def polyline(self, n: int = 32) -> np.ndarray:
-        """(n, 2) sample of the segment path for plotting."""
+    def polyline(self, n: int = 32) -> list[list[float]]:
+        """n [y, z] samples of the segment path for plotting."""
         if self.kind == "bang":
-            angles = self.start.theta - np.linspace(0.0, self.flip, n)
             r = self.start.r
-            return np.column_stack((r * np.cos(angles), r * np.sin(angles)))
+            theta = self.start.theta
+            return [
+                [r * math.cos(theta - a), r * math.sin(theta - a)]
+                for a in _linspace(0.0, self.flip, n)
+            ]
         if self.kind == "detection":
-            pts = [relax(self.start, t, self.params) for t in np.linspace(0.0, self.duration, n)]
-            return np.array([[p.y, p.z] for p in pts])
-        ys = np.linspace(self.start.y, self.end.y, n)
-        zs = np.linspace(self.start.z, self.end.z, n)
-        return np.column_stack((ys, zs))
+            pts = [relax(self.start, t, self.params) for t in _linspace(0.0, self.duration, n)]
+            return [[p.y, p.z] for p in pts]
+        ys = _linspace(self.start.y, self.end.y, n)
+        zs = _linspace(self.start.z, self.end.z, n)
+        return [[y, z] for y, z in zip(ys, zs)]
+
+
+def _linspace(a: float, b: float, n: int) -> list[float]:
+    """``np.linspace(a, b, n).tolist()``, with the same arithmetic in the same order."""
+    if n < 0:
+        raise DomainError(f"number of samples must be >= 0, got {n}")
+    div = n - 1
+    delta = b - a
+    if div <= 0:
+        return [i * delta + a for i in range(n)]
+    step = delta / div
+    if step == 0.0:  # delta/div underflowed; numpy scales by delta after dividing
+        pts = [i / div * delta + a for i in range(n)]
+    else:
+        pts = [i * step + a for i in range(n)]
+    pts[-1] = b
+    return pts
 
 
 @dataclass(frozen=True)

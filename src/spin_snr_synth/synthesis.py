@@ -16,8 +16,6 @@ import enum
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .bloch import DETECTION_TIME, BlochState, RelaxationPair, relax
 from .errors import BracketingError, DomainError
 
@@ -219,6 +217,8 @@ def _ellipsoid_z_bottom(params: RelaxationPair) -> float:
 
 def boundary_curves(params: RelaxationPair, n: int) -> BoundaryCurves:
     """Sample the three boundary curves with about n points each."""
+    import numpy as np
+
     if n < 2:
         raise DomainError(f"n must be >= 2, got {n}")
     big_g = params.gamma_t2
@@ -259,9 +259,13 @@ def _sample_preimage_curve(za: float, big_g: float, small_g: float, n: int) -> n
     is at most two arcs of the phi interval; each boundary is refined by
     bisection before uniform resampling.
     """
+    import numpy as np
 
     def excess(phi: float) -> float:
-        y, z = _preimage_point(phi, za, big_g, small_g)
+        try:
+            y, z = _preimage_point(phi, za, big_g, small_g)
+        except OverflowError:  # e^Gamma or e^gamma beyond float range: far outside the disk
+            return math.inf
         return y * y + z * z - 1.0
 
     n_scan = max(4 * n, 512)

@@ -1,16 +1,20 @@
 """CLI output: byte identity of the streamed CSV writers, the v2 JSON layout, import cost."""
 
+import contextlib
 import csv
+import io
 import json
 import math
 import os
 import subprocess
 import sys
+import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import spin_snr_synth
@@ -19,6 +23,7 @@ from spin_snr_synth import (
     ControlStructure,
     RelaxationPair,
     boundary_curves,
+    ernst_solution,
     q_grid_arrays,
     q_max_surface,
     q_value,
@@ -169,6 +174,33 @@ class TestJsonV2:
             else:
                 assert row[2] == "nan" and cells["q_ernst"][i] is None
 
+    @pytest.mark.parametrize("tag", sorted(REGIMES))
+    @pytest.mark.parametrize("n", [512, 90, 2])
+    def test_qsurface_pieces_join_to_dumps(self, tmp_path, monkeypatch, tag, n):
+        seen = _spy_strict_json(monkeypatch)
+        _assert_pieces_join_to_dumps(seen, run_qsurface(tmp_path, tag, n, n, fmt="json"))
+
+    def test_phase_diagram_pieces_join_to_dumps(self, tmp_path, monkeypatch):
+        seen = _spy_strict_json(monkeypatch)
+        _assert_pieces_join_to_dumps(seen, run_phase(tmp_path, 40, 50, fmt="json"))
+        assert None in seen[0][0]["cells"]["q_ernst"]
+
+    def test_nonfinite_value_writes_no_file(self, tmp_path, monkeypatch, capsys):
+        kernel = cli.q_grid_arrays
+
+        def with_inf(params, n_y, n_z):
+            y, z, codes, t_c, q = kernel(params, n_y, n_z)
+            t_c[-1] = math.inf
+            return y, z, codes, t_c, q
+
+        monkeypatch.setattr(cli, "q_grid_arrays", with_inf)
+        out = tmp_path / "qs.json"
+        argv = ["qsurface", *_rates("B"), "--grid-ny", "20", "--grid-nz", "20",
+                "--format", "json", "--out", str(out)]
+        assert cli.main(argv) == 2
+        assert capsys.readouterr().err.startswith("error:")
+        assert not out.exists()
+
     def test_nonfinite_value_refused(self):
         for bad in (math.inf, -math.inf, math.nan):
             with pytest.raises(spin_snr_synth.DomainError):
@@ -183,13 +215,93 @@ class TestJsonV2:
             assert not {"lattice_rows", "boundary_rows", "cells"} & set(meta)
 
 
-def test_cli_import_leaves_scipy_unloaded():
+def _spy_strict_json(monkeypatch) -> list:
+    """Record every (doc, pieces) pair that ``cli._strict_json`` encodes."""
+    seen = []
+    encode = cli._strict_json
+
+    def spy(doc):
+        pieces = encode(doc)
+        seen.append((doc, pieces))
+        return pieces
+
+    monkeypatch.setattr(cli, "_strict_json", spy)
+    return seen
+
+
+def _as_lists(value):
+    if isinstance(value, dict):
+        return {key: _as_lists(item) for key, item in value.items()}
+    return value.tolist() if isinstance(value, np.ndarray) else value
+
+
+def _assert_pieces_join_to_dumps(seen: list, out: Path) -> None:
+    ((doc, pieces),) = seen
+    expected = json.dumps(_as_lists(doc), allow_nan=False) + "\n"
+    assert "".join(pieces) == expected
+    assert out.read_text() == expected
+
+
+def _src_env() -> dict:
     src = str(Path(spin_snr_synth.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+
+def _run_python(code: str, *args: str, env: dict | None = None) -> str:
+    res = subprocess.run([sys.executable, "-c", code, *args], env=env or _src_env(),
+                         capture_output=True, text=True, timeout=60, check=True)
+    return res.stdout.strip()
+
+
+def test_cli_import_leaves_scipy_unloaded():
     code = "import sys, spin_snr_synth.cli; print('scipy' in sys.modules)"
-    res = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
-                         timeout=60, check=True)
-    assert res.stdout.strip() == "False"
+    assert _run_python(code) == "False"
+
+
+#: Runs each argv of the JSON list argv[1] through ``cli.main`` in one
+#: process; prints the exit codes and whether numpy got imported.
+_MAIN_LOOP = """
+import contextlib, io, json, sys
+from spin_snr_synth import cli
+codes = []
+for argv in json.loads(sys.argv[1]):
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            codes.append(cli.main(argv))
+        except SystemExit as exc:
+            codes.append(exc.code)
+print(json.dumps([codes, "numpy" in sys.modules]))
+"""
+
+
+def test_query_commands_leave_numpy_unloaded(tmp_path):
+    argvs = [
+        ["--version"],
+        ["ernst", *_rates("B")],
+        ["ernst", *_rates("A"), "--format", "json"],
+        ["classify", *_rates("B"), "--point", "0.3", "0.1", "--format", "json"],
+        ["trajectory", *_rates("C"), "--point", "0.6", "-0.2", "--format", "json"],
+        ["classify", *_rates("B"), "--point", "0.9", "0.6"],  # outside the disk
+        ["trajectory", *_rates("A"), "--point", "-0.2", "0.1"],  # y < 0
+        ["ernst", "--Gamma", "0.2", "--gamma", "1.0"],  # unphysical
+    ]
+    codes, numpy_loaded = json.loads(_run_python(_MAIN_LOOP, json.dumps(argvs)))
+    assert codes == [0, 0, 0, 0, 0, 2, 2, 2]
+    assert not numpy_loaded
+
+    argv = ["qsurface", *_rates("C"), "--grid-ny", "8", "--grid-nz", "8",
+            "--out", str(tmp_path / "qs.csv")]
+    assert json.loads(_run_python(_MAIN_LOOP, json.dumps([argv]))) == [[0], True]
+
+
+@pytest.mark.parametrize("preset, expected", [(None, "1"), ("2", "2")])
+def test_main_module_sets_one_openblas_thread(preset, expected):
+    env = _src_env()
+    env.pop("OPENBLAS_NUM_THREADS", None)
+    if preset is not None:
+        env["OPENBLAS_NUM_THREADS"] = preset
+    code = "import os, spin_snr_synth.__main__; print(os.environ['OPENBLAS_NUM_THREADS'])"
+    assert _run_python(code, env=env) == expected
 
 
 _FINITE = st.floats(allow_nan=False, allow_infinity=False)
@@ -266,3 +378,105 @@ def test_ernst_finite_at_large_rates(capsys, rates, q):
     numbers = [doc["q"], doc["flip_rad"], *doc["m"].values(), *doc["s"].values()]
     assert all(math.isfinite(v) for v in numbers)
     assert doc["q"] == pytest.approx(q, abs=5e-5)
+
+
+def _strict_loads(text: str):
+    return json.loads(text, parse_constant=lambda token: pytest.fail(f"non-finite {token}"))
+
+
+def _assert_finite_output(argv: list[str], stdout: str, out: str) -> None:
+    """Every number the command wrote is finite, bar the nan of unphysical cells."""
+    if argv[0] not in ("qsurface", "phase-diagram"):
+        _strict_loads(stdout)
+        return
+    if "json" in argv:
+        _strict_loads(Path(out).read_text())
+        return
+    _strict_loads(Path(out).with_suffix(".meta.json").read_text())
+    for row in _csv_body(Path(out)):
+        if argv[0] == "qsurface":
+            numbers = [row[0], row[1], row[3], row[4]]
+        else:  # q_ernst is nan exactly on the unphysical cells
+            numbers = [row[0], row[1]] + ([row[2]] if row[4] == "1" else [])
+        assert all(math.isfinite(float(v)) for v in numbers), row
+
+
+def _run_checked(argv: list[str]) -> tuple[int, str, str]:
+    """``cli.main(argv)`` with RuntimeWarning raised; (exit code, stdout, stderr)."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:  # argparse refused the command line
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+class TestLargeRates:
+    @pytest.mark.parametrize("rates", [("800", "400"), ("1e5", "1")])
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_qsurface(self, tmp_path, rates, fmt):
+        out = str(tmp_path / f"qs.{fmt}")
+        argv = ["qsurface", "--Gamma", rates[0], "--gamma", rates[1], "--grid-ny", "33",
+                "--grid-nz", "33", "--format", fmt, "--out", out]
+        code, stdout, _ = _run_checked(argv)
+        assert code == 0
+        _assert_finite_output(argv, stdout, out)
+
+    def test_phase_diagram(self, tmp_path):
+        out = str(tmp_path / "pd.csv")
+        argv = ["phase-diagram", "--range-gamma", "300", "400", "--range-Gamma", "300", "900",
+                "--grid-ny", "3", "--grid-nz", "3", "--out", out]
+        code, stdout, _ = _run_checked(argv)
+        assert code == 0
+        _assert_finite_output(argv, stdout, out)
+        rows = _csv_body(Path(out))
+        assert [row[4] for row in rows] == ["1"] * 9
+        for gamma_text, big_gamma_text, q_text, _, _ in rows:
+            if float(gamma_text) == 400.0:
+                expected = ernst_solution(RelaxationPair(float(big_gamma_text), 400.0)).q
+                assert float(q_text) == expected == 1.0
+
+
+_RATE = st.floats(-8.0, 4.0).map(lambda exponent: 10.0**exponent)  # log-uniform
+_RADIUS = st.one_of(st.floats(0.0, 1.0), st.floats(0.999, 1.001))
+
+
+@st.composite
+def cli_argvs(draw) -> list[str]:
+    """Command lines over the whole rate range, with points inside and near the disk."""
+    cmd = draw(st.sampled_from(["ernst", "classify", "trajectory", "qsurface", "phase-diagram"]))
+    fmt = draw(st.sampled_from(["csv", "json"]))
+    if cmd == "phase-diagram":
+        gamma = sorted([draw(_RATE), draw(_RATE)])
+        big_gamma = sorted([draw(_RATE), draw(_RATE)])
+        return [cmd, "--range-gamma", *map(repr, gamma), "--range-Gamma", *map(repr, big_gamma),
+                "--grid-ny", "3", "--grid-nz", "3", "--format", fmt]
+    rates = ["--Gamma", repr(draw(_RATE)), "--gamma", repr(draw(_RATE))]
+    if cmd == "ernst":
+        return [cmd, *rates, "--format", "json"]
+    if cmd == "qsurface":
+        return [cmd, *rates, "--grid-ny", "9", "--grid-nz", "9", "--boundary-n", "16",
+                "--format", fmt]
+    r = draw(_RADIUS)
+    phi = draw(st.floats(-0.5 * math.pi - 0.1, 0.5 * math.pi + 0.1))
+    return [cmd, *rates, "--point", repr(r * math.cos(phi)), repr(r * math.sin(phi)),
+            "--format", "json"]
+
+
+@settings(max_examples=400, deadline=None)
+@given(cli_argvs())
+def test_cli_answers_or_rejects(argv):
+    # exit 0 with finite output, or exit 2 with an error line and no file; never a traceback
+    with tempfile.TemporaryDirectory() as work:
+        out = os.path.join(work, "out.dat")
+        if argv[0] in ("qsurface", "phase-diagram"):
+            argv = [*argv, "--out", out]
+        code, stdout, stderr = _run_checked(argv)
+        assert code in (0, 2), stderr
+        if code == 2:
+            assert "error:" in stderr
+            assert not os.path.exists(out)
+        else:
+            _assert_finite_output(argv, stdout, out)

@@ -20,7 +20,7 @@ from spin_snr_synth import (
     time_magic,
     time_vertical,
 )
-from spin_snr_synth.qsurface import q_lattice_arrays
+from spin_snr_synth.qsurface import _linspace, q_lattice_arrays
 from conftest import half_disk_states, rate_pairs
 
 ERNST_POINT_B = BlochState(0.6892739804246589, 0.2689414213699951)
@@ -320,7 +320,7 @@ class TestTrajectory:
         for seg in traj.segments:
             if seg.kind == "bang":
                 assert seg.start.r == pytest.approx(seg.end.r, abs=1e-12)
-                pts = seg.polyline(16)
+                pts = np.asarray(seg.polyline(16))
                 assert np.allclose(np.hypot(pts[:, 0], pts[:, 1]), seg.start.r, atol=1e-12)
 
     def test_detection_polyline_follows_relaxation(self, params_b):
@@ -330,3 +330,45 @@ class TestTrajectory:
         mid = relax(det.start, det.duration / 2.0, params_b)
         assert pts[2][0] == pytest.approx(mid.y, abs=1e-14)
         assert pts[2][1] == pytest.approx(mid.z, abs=1e-14)
+
+
+def numpy_polyline(seg, n):
+    """The numpy formulas ``Segment.polyline`` was computed with, as an (n, 2) array."""
+    if seg.kind == "bang":
+        angles = seg.start.theta - np.linspace(0.0, seg.flip, n)
+        r = seg.start.r
+        return np.column_stack((r * np.cos(angles), r * np.sin(angles)))
+    if seg.kind == "detection":
+        pts = [relax(seg.start, t, seg.params) for t in np.linspace(0.0, seg.duration, n)]
+        return np.array([[p.y, p.z] for p in pts])
+    ys = np.linspace(seg.start.y, seg.end.y, n)
+    zs = np.linspace(seg.start.z, seg.end.z, n)
+    return np.column_stack((ys, zs))
+
+
+class TestPolyline:
+    @given(rate_pairs(), half_disk_states(), st.integers(0, 80))
+    @settings(max_examples=200, deadline=None)
+    def test_equals_numpy_formulas(self, params, m, n):
+        # repr tells -0.0 from 0.0, so equal reprs are equal bits
+        for seg in build_trajectory(m, params).segments:
+            assert repr(seg.polyline(n)) == repr(numpy_polyline(seg, n).tolist())
+
+    @given(
+        st.floats(allow_nan=False, allow_infinity=False),
+        st.floats(allow_nan=False, allow_infinity=False),
+        st.integers(0, 40),
+    )
+    def test_linspace_rule(self, a, b, n):
+        with np.errstate(all="ignore"):
+            expected = np.linspace(a, b, n).tolist()
+        assert repr(_linspace(a, b, n)) == repr(expected)
+
+    @pytest.mark.parametrize("a, b", [(0.0, 5e-324), (0.0, -5e-324), (1.0, 1.0), (0.0, 1e-320)])
+    def test_linspace_tiny_steps(self, a, b):
+        assert repr(_linspace(a, b, 64)) == repr(np.linspace(a, b, 64).tolist())
+
+    def test_negative_count_refused(self, params_b):
+        seg = build_trajectory(BlochState(0.3, 0.1), params_b).segments[0]
+        with pytest.raises(DomainError):
+            seg.polyline(-1)
