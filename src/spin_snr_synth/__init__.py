@@ -10,8 +10,7 @@ Importing the package loads no numpy: the scalar layer (``bloch``,
 ``ernst_solution``) runs on :mod:`math`, so the ``ernst``, ``classify``
 and ``trajectory`` commands never load it. The functions that build
 arrays (the lattice kernel, the boundary curves, the rate-plane surface
-and the oracle) import numpy when first called, and
-``maximize_q_global`` also scipy.
+and the oracle) import numpy when first called.
 """
 
 from .bloch import (
@@ -19,15 +18,11 @@ from .bloch import (
     EPS_BALL,
     EQUILIBRIUM,
     BlochState,
-    ExperimentTiming,
     RelaxationPair,
     normalize_params,
-    radial_speed,
-    radial_speed_dtheta,
     relax,
     relax_inverse,
     rotate,
-    total_snr,
 )
 from .ernst import (
     ErnstSolution,
@@ -84,7 +79,6 @@ from .synthesis import (
     magic_plane,
     regime,
     regime_boundaries,
-    zero_radial_speed_residual,
 )
 
 __version__ = "0.1.0"

@@ -83,31 +83,6 @@ class BlochState:
 EQUILIBRIUM = BlochState(0.0, 1.0)
 
 
-@dataclass(frozen=True)
-class ExperimentTiming:
-    """Timing of the repeated pulse-and-detect experiment, in physical units.
-
-    ``t_total`` is the full experiment duration T, ``t_detect`` the length
-    Td of one detection window, ``n_cycles`` the number N of repetitions.
-    T = N*(Td + Tc*Td) up to the rounding of N, so T >= N*Td always.
-    """
-
-    t_detect: float
-    t_total: float
-    n_cycles: int
-
-    def __post_init__(self):
-        if self.t_detect <= 0.0 or self.t_total <= 0.0:
-            raise DomainError("t_detect and t_total must be positive")
-        if self.n_cycles < 1:
-            raise DomainError(f"n_cycles must be >= 1, got {self.n_cycles}")
-        if self.t_total < self.n_cycles * self.t_detect * (1.0 - 1e-9):
-            raise DomainError(
-                f"t_total={self.t_total} cannot fit n_cycles={self.n_cycles} "
-                f"detection windows of t_detect={self.t_detect}"
-            )
-
-
 def normalize_params(
     t1: float, t2: float, t_detect: float, allow_unphysical: bool = False
 ) -> RelaxationPair:
@@ -171,40 +146,3 @@ def rotate(state: BlochState, phi: float) -> BlochState:
     c = math.cos(phi)
     s = math.sin(phi)
     return BlochState(state.y * c + state.z * s, -state.y * s + state.z * c)
-
-
-def radial_speed(state: BlochState, params: RelaxationPair) -> float:
-    """dr/dt under free evolution; independent of the control field.
-
-    Equals -Gamma*r*cos(theta)^2 + gamma*sin(theta) - gamma*r*sin(theta)^2.
-    Undefined at the origin.
-    """
-    r = state.r
-    if r == 0.0:
-        raise DomainError("radial speed is undefined at the origin")
-    g = params.gamma_t1
-    return (-params.gamma_t2 * state.y * state.y + g * state.z * (1.0 - state.z)) / r
-
-
-def radial_speed_dtheta(state: BlochState, params: RelaxationPair) -> float:
-    """Angular derivative of the radial speed at fixed radius.
-
-    Vanishes on the z-axis (y = 0) and on the horizontal plane
-    z = -gamma/(2*(Gamma - gamma)), the two singular sets of the
-    time-optimal flow. Undefined at the origin.
-    """
-    r = state.r
-    if r == 0.0:
-        raise DomainError("angular derivative is undefined at the origin")
-    g = params.gamma_t1
-    return (abs(state.y) / r) * (2.0 * params.gamma_t2 * state.z + g - 2.0 * g * state.z)
-
-
-def total_snr(q: float, timing: ExperimentTiming) -> float:
-    """Accumulated SNR R = sqrt(T/Td) * q of the full experiment.
-
-    ``q`` is the per-unit-time figure of merit y_m/sqrt(1 + Tc).
-    """
-    if not (0.0 <= q < 1.0):
-        raise DomainError(f"q must lie in [0, 1), got {q}")
-    return math.sqrt(timing.t_total / timing.t_detect) * q

@@ -16,8 +16,7 @@ or nan, which JSON cannot represent, is not written (exit 2). Exit codes:
 ``--version``, ``ernst``, ``classify`` and ``trajectory`` compute with
 :mod:`math` alone and never import numpy. numpy is imported by the
 commands that build arrays, ``qsurface``, ``phase-diagram`` and
-``verify``, inside the functions that build them; scipy only by
-``verify``.
+``verify``, inside the functions that build them.
 
 ``qsurface`` and ``phase-diagram`` write a CSV (first line
 ``# spin-snr-synth v1``) plus a ``.meta.json`` sidecar in the v1 layout,
@@ -95,6 +94,9 @@ def _write_rows(fh, row_fmt: str, columns: list[np.ndarray]) -> None:
 
 
 _NUM_NAMES = {"pi": math.pi, "e": math.e}
+
+#: A negative float literal, exponent form included: a value, not an option.
+_NEGATIVE_NUMBER = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][+-]?\d+)?$")
 
 
 def parse_number(text: str) -> float:
@@ -474,6 +476,8 @@ def build_parser() -> argparse.ArgumentParser:
         p_c = sub.add_parser(name, help=help_text)
         _add_param_flags(p_c)
         p_c.add_argument("--point", type=parse_number, nargs=2, required=True, metavar=("Y", "Z"))
+        # argparse's own pattern has no exponent form and would take "-1e-3" for an option
+        p_c._negative_number_matcher = _NEGATIVE_NUMBER
         p_c.add_argument("--polyline-n", type=int, default=64)
         p_c.add_argument("--format", choices=("text", "json"), default="text")
         p_c.add_argument("--out", default=None)

@@ -10,7 +10,7 @@ y_m. Maximizing y along the ellipsoid gives the closed form
 and the flip angle of the closing pulse is the classical Ernst angle
 arccos((e^-gamma + e^-Gamma)/(1 + e^-(Gamma+gamma))). The numeric
 optimizers in this module rediscover that point without using the
-closed form, which is how the formulas get verified.
+closed form, which is how the formulas get verified; they need numpy only.
 """
 
 from __future__ import annotations
@@ -109,6 +109,55 @@ def maximize_on_ellipsoid(params: RelaxationPair) -> ErnstSolution:
     return ErnstSolution(m, s, m.y, s.theta - m.theta)
 
 
+def _nelder_mead(f, sim: np.ndarray) -> tuple[np.ndarray, float]:
+    """Minimize f from the 3 x 2 simplex ``sim``; returns (argmin, min).
+
+    Non-adaptive Nelder-Mead (Lagarias et al., SIAM J. Optim. 9, 112, 1998):
+    reflection 1, expansion 2, contraction and shrink 1/2. The arithmetic of
+    each move, the argsort re-sort after every iteration and the joint
+    xatol = 1e-12 / fatol = 1e-14 stop are fixed, because the tests pin the
+    bits of the argmax it returns.
+    """
+    import numpy as np
+
+    def sort(sim, fsim):
+        ind = np.argsort(fsim)
+        return np.take(sim, ind, 0), np.take(fsim, ind, 0)
+
+    sim, fsim = sort(sim, np.array([f(x) for x in sim]))
+    # converging restarts take <= ~210 iterations in regimes A, B and C;
+    # one stalled on the ridge stops at 500, counted from 1
+    for _ in range(1, 500):
+        if np.max(np.abs(sim[1:] - sim[0])) <= 1e-12 and np.max(np.abs(fsim[0] - fsim[1:])) <= 1e-14:
+            break
+        xbar = np.add.reduce(sim[:-1], 0) / 2
+        xr = 2 * xbar - sim[-1]
+        fxr = f(xr)
+        if fxr < fsim[0]:
+            xe = 3 * xbar - 2 * sim[-1]
+            fxe = f(xe)
+            sim[-1], fsim[-1] = (xe, fxe) if fxe < fxr else (xr, fxr)
+        elif fxr < fsim[-2]:
+            sim[-1], fsim[-1] = xr, fxr
+        else:
+            if fxr < fsim[-1]:  # outside contraction
+                xc = 1.5 * xbar - 0.5 * sim[-1]
+                fxc = f(xc)
+                accept = fxc <= fxr
+            else:  # inside contraction
+                xc = 0.5 * xbar + 0.5 * sim[-1]
+                fxc = f(xc)
+                accept = fxc < fsim[-1]
+            if accept:
+                sim[-1], fsim[-1] = xc, fxc
+            else:  # shrink toward the best vertex
+                for j in (1, 2):
+                    sim[j] = sim[0] + 0.5 * (sim[j] - sim[0])
+                    fsim[j] = f(sim[j])
+        sim, fsim = sort(sim, fsim)
+    return sim[0], fsim[0]
+
+
 def maximize_q_global(
     params: RelaxationPair, coarse_n: int = 512
 ) -> tuple[BlochState, float]:
@@ -118,10 +167,8 @@ def maximize_q_global(
     best cells, with shrinking-simplex restarts because the maximum sits
     on a ridge where Q is continuous but not smooth.
     """
-    # Imported here: scipy.optimize costs ~0.5 s, and no other entry point needs it;
-    # numpy, as in every array function, so that importing the package loads neither.
+    # Imported here, as in every array function, so that importing the package loads no numpy.
     import numpy as np
-    from scipy import optimize
 
     if coarse_n < 64:
         raise DomainError(f"coarse_n must be >= 64, got {coarse_n}")
@@ -140,21 +187,9 @@ def maximize_q_global(
         x0 = np.array([y[idx], z[idx]])
         val = -q[idx]
         for scale in (2.0 / coarse_n, 1e-5, 1e-7):
-            res = optimize.minimize(
-                neg_q,
-                x0,
-                method="Nelder-Mead",
-                options={
-                    "xatol": 1e-12,
-                    "fatol": 1e-14,
-                    # converging restarts take <= ~210 iterations in regimes
-                    # A, B and C; one stalled on the ridge stops here
-                    "maxiter": 500,
-                    "initial_simplex": np.array([x0, x0 + [scale, 0.0], x0 + [0.0, scale]]),
-                },
-            )
-            if res.fun < val:
-                x0, val = res.x, res.fun
+            x, fx = _nelder_mead(neg_q, np.array([x0, x0 + [scale, 0.0], x0 + [0.0, scale]]))
+            if fx < val:
+                x0, val = x, fx
         if val < best_val:
             best_x, best_val = x0, val
     return BlochState(float(best_x[0]), float(best_x[1])), -best_val

@@ -79,19 +79,6 @@ def ernst_ellipsoid_residual(m: BlochState, params: RelaxationPair) -> float:
     return ys * ys + zs * zs - m.y * m.y - m.z * m.z
 
 
-def zero_radial_speed_residual(state: BlochState, params: RelaxationPair) -> float:
-    """Gamma*y^2 + gamma*z^2 - gamma*z; equals -r*dr/dt under free evolution.
-
-    Zero on the ellipse dr/dt = 0, positive where the radius shrinks,
-    negative where it grows.
-    """
-    return (
-        params.gamma_t2 * state.y * state.y
-        + params.gamma_t1 * state.z * state.z
-        - params.gamma_t1 * state.z
-    )
-
-
 def _classify_radii(r_m: float, r_s: float, plane: MagicPlane) -> ControlStructure:
     """Decision list of the scalar path (:func:`classify` and ``qsurface._plan``).
 

@@ -10,16 +10,13 @@ from spin_snr_synth import (
     BlochState,
     DomainError,
     EQUILIBRIUM,
-    ExperimentTiming,
     PhysicalityError,
     RelaxationPair,
+    magic_plane,
     normalize_params,
-    radial_speed,
-    radial_speed_dtheta,
     relax,
     relax_inverse,
     rotate,
-    total_snr,
 )
 from spin_snr_synth.oracle import _integrate_duration
 from conftest import disk_states, rate_pairs
@@ -194,19 +191,47 @@ class TestIntegrate:
             _integrate_duration(EQUILIBRIUM.y, EQUILIBRIUM.z, _free_field, -1.0, params_b)
 
 
+def _radial_speed(s, p):
+    """dr/dt under free evolution, (-Gamma*y^2 + gamma*z*(1 - z))/r; r > 0."""
+    return (-p.gamma_t2 * s.y * s.y + p.gamma_t1 * s.z * (1.0 - s.z)) / s.r
+
+
+def _radial_speed_dtheta(s, p):
+    """Angular derivative of the radial speed at fixed radius, (|y|/r)*(2*Gamma*z + gamma - 2*gamma*z).
+
+    It vanishes on the z axis and on the magic plane z0 = -gamma/(2*(Gamma - gamma)),
+    the two singular sets of the time-optimal flow.
+    """
+    g = p.gamma_t1
+    return (abs(s.y) / s.r) * (2.0 * p.gamma_t2 * s.z + g - 2.0 * g * s.z)
+
+
+def _relaxed_radius_rate(s, p, h=1e-8):
+    """dr/dt at s of the closed-form free evolution, by forward difference."""
+    return (relax(s, h, p).r - s.r) / h
+
+
 class TestRadialSpeed:
     def test_equilibrium(self, params_b):
-        assert radial_speed(EQUILIBRIUM, params_b) == 0.0
+        assert _radial_speed(EQUILIBRIUM, params_b) == 0.0
+        assert _relaxed_radius_rate(EQUILIBRIUM, params_b) == 0.0
 
     def test_pure_transverse_decays_at_big_gamma(self, params_b):
-        assert radial_speed(BlochState(1.0, 0.0), params_b) == pytest.approx(-1.8, abs=1e-15)
+        s = BlochState(1.0, 0.0)
+        assert _radial_speed(s, params_b) == pytest.approx(-1.8, abs=1e-15)
+        assert _relaxed_radius_rate(s, params_b) == pytest.approx(-1.8, abs=1e-6)
 
     def test_lower_axis_point(self, params_b):
-        assert radial_speed(BlochState(0.0, -0.5), params_b) == pytest.approx(-1.5, abs=1e-14)
+        s = BlochState(0.0, -0.5)
+        assert _radial_speed(s, params_b) == pytest.approx(-1.5, abs=1e-14)
+        assert _relaxed_radius_rate(s, params_b) == pytest.approx(-1.5, abs=1e-6)
 
     def test_origin_undefined(self, params_b):
-        with pytest.raises(DomainError):
-            radial_speed(BlochState(0.0, 0.0), params_b)
+        # free evolution leaves the origin along +z at speed gamma, yet the radial
+        # speed tends to 0 along the y axis: it has no limit at the origin
+        assert _relaxed_radius_rate(BlochState(0.0, 0.0), params_b) == pytest.approx(1.0, abs=1e-6)
+        assert _radial_speed(BlochState(0.0, 1e-9), params_b) == pytest.approx(1.0, abs=1e-8)
+        assert _radial_speed(BlochState(1e-9, 0.0), params_b) == pytest.approx(0.0, abs=1e-8)
 
     @given(disk_states(r_max=0.98), rate_pairs())
     @settings(max_examples=100, deadline=None)
@@ -219,25 +244,27 @@ class TestRadialSpeed:
         fd = (s2.r - s.r) / (2.0 * h)  # central difference at t = h
         # truncation ~ (h^2/6)*max|r'''|; r''' grows with rates^3 and 1/r^2
         tol = 1e-7 * (1.0 + p.gamma_t2 + p.gamma_t1) ** 3
-        assert fd == pytest.approx(radial_speed(s1, p), abs=tol)
+        assert fd == pytest.approx(_radial_speed(s1, p), abs=tol)
 
 
 class TestRadialSpeedDtheta:
     def test_zero_on_axis(self, params_b):
-        assert radial_speed_dtheta(BlochState(0.0, 0.4), params_b) == 0.0
-        assert radial_speed_dtheta(BlochState(0.0, -0.4), params_b) == 0.0
+        assert _radial_speed_dtheta(BlochState(0.0, 0.4), params_b) == 0.0
+        assert _radial_speed_dtheta(BlochState(0.0, -0.4), params_b) == 0.0
 
     def test_zero_on_magic_plane(self, params_b):
-        z0 = -1.0 / (2.0 * 0.8)
-        assert radial_speed_dtheta(BlochState(0.3, z0), params_b) == pytest.approx(0.0, abs=1e-15)
+        z0 = magic_plane(params_b).z0
+        assert z0 == pytest.approx(-1.0 / (2.0 * 0.8), abs=1e-15)
+        assert _radial_speed_dtheta(BlochState(0.3, z0), params_b) == pytest.approx(0.0, abs=1e-15)
 
     def test_direct_value(self, params_b):
-        got = radial_speed_dtheta(BlochState(0.5, 0.5), params_b)
+        got = _radial_speed_dtheta(BlochState(0.5, 0.5), params_b)
         assert got == pytest.approx(1.2727922061357856, abs=1e-14)
 
     def test_origin_undefined(self, params_b):
-        with pytest.raises(DomainError):
-            radial_speed_dtheta(BlochState(0.0, 0.0), params_b)
+        # gamma along the y axis, 0 along the z axis: no limit at the origin
+        assert _radial_speed_dtheta(BlochState(1e-9, 0.0), params_b) == pytest.approx(1.0, abs=1e-8)
+        assert _radial_speed_dtheta(BlochState(0.0, 1e-9), params_b) == 0.0
 
     @given(disk_states(r_max=0.97), rate_pairs())
     @settings(max_examples=150)
@@ -249,34 +276,7 @@ class TestRadialSpeedDtheta:
         h = 1e-5
         plus = BlochState(r * math.cos(th + h), r * math.sin(th + h))
         minus = BlochState(r * math.cos(th - h), r * math.sin(th - h))
-        fd = (radial_speed(plus, p) - radial_speed(minus, p)) / (2.0 * h)
+        fd = (_radial_speed(plus, p) - _radial_speed(minus, p)) / (2.0 * h)
         # the analytic form carries |y| where the true derivative carries y
-        got = math.copysign(1.0, s.y) * radial_speed_dtheta(s, p)
+        got = math.copysign(1.0, s.y) * _radial_speed_dtheta(s, p)
         assert fd == pytest.approx(got, rel=1e-6, abs=1e-9)
-
-
-class TestTotalSnr:
-    def test_zero_signal(self):
-        timing = ExperimentTiming(t_detect=1.0, t_total=50.0, n_cycles=10)
-        assert total_snr(0.0, timing) == 0.0
-
-    def test_single_block(self):
-        timing = ExperimentTiming(t_detect=2.0, t_total=2.0, n_cycles=1)
-        assert total_snr(0.37, timing) == pytest.approx(0.37, abs=1e-15)
-
-    def test_sqrt_scaling(self):
-        timing = ExperimentTiming(t_detect=1.0, t_total=100.0, n_cycles=50)
-        assert total_snr(0.5, timing) == pytest.approx(5.0, abs=1e-14)
-
-    def test_q_domain(self):
-        timing = ExperimentTiming(t_detect=1.0, t_total=10.0, n_cycles=5)
-        with pytest.raises(DomainError):
-            total_snr(1.0, timing)
-        with pytest.raises(DomainError):
-            total_snr(-0.1, timing)
-
-    def test_timing_validation(self):
-        with pytest.raises(DomainError):
-            ExperimentTiming(t_detect=1.0, t_total=3.0, n_cycles=5)
-        with pytest.raises(DomainError):
-            ExperimentTiming(t_detect=-1.0, t_total=3.0, n_cycles=1)

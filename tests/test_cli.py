@@ -254,8 +254,15 @@ def _run_python(code: str, *args: str, env: dict | None = None) -> str:
 
 
 def test_cli_import_leaves_scipy_unloaded():
-    code = "import sys, spin_snr_synth.cli; print('scipy' in sys.modules)"
-    assert _run_python(code) == "False"
+    code = """
+import contextlib, io, sys, spin_snr_synth.cli
+print("scipy" in sys.modules)
+with contextlib.redirect_stdout(io.StringIO()):
+    status = spin_snr_synth.cli.main(["verify", "--Gamma", "1.8", "--gamma", "1.0", "--n-transfers", "2",
+                                      "--n-structure", "2", "--n-qsurface", "2"])
+print(status, "scipy" in sys.modules)
+"""
+    assert _run_python(code).splitlines() == ["False", "0 False"]
 
 
 #: Runs each argv of the JSON list argv[1] through ``cli.main`` in one
@@ -461,7 +468,8 @@ def cli_argvs(draw) -> list[str]:
                 "--format", fmt]
     r = draw(_RADIUS)
     phi = draw(st.floats(-0.5 * math.pi - 0.1, 0.5 * math.pi + 0.1))
-    return [cmd, *rates, "--point", repr(r * math.cos(phi)), repr(r * math.sin(phi)),
+    text = draw(st.sampled_from([repr, "{:.16e}".format]))  # "-1.2e-01" is a value, not an option
+    return [cmd, *rates, "--point", text(r * math.cos(phi)), text(r * math.sin(phi)),
             "--format", "json"]
 
 
@@ -477,6 +485,7 @@ def test_cli_answers_or_rejects(argv):
         assert code in (0, 2), stderr
         if code == 2:
             assert "error:" in stderr
+            assert not stderr.startswith("usage:"), stderr  # every drawn command line parses
             assert not os.path.exists(out)
         else:
             _assert_finite_output(argv, stdout, out)

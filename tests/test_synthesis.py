@@ -16,13 +16,10 @@ from spin_snr_synth import (
     ellipsoid_y,
     ernst_ellipsoid_residual,
     magic_plane,
-    radial_speed,
-    radial_speed_dtheta,
     regime,
     regime_boundaries,
     relax,
     relax_inverse,
-    zero_radial_speed_residual,
 )
 from conftest import disk_states, rate_pairs
 
@@ -34,10 +31,11 @@ class TestMagicPlane:
         plane = magic_plane(params_b)
         assert plane.present
         assert plane.z0 == pytest.approx(-0.625, abs=1e-15)
-        # the angular derivative of the radial speed vanishes there
-        assert radial_speed_dtheta(BlochState(0.4, plane.z0), params_b) == pytest.approx(
-            0.0, abs=1e-14
-        )
+        # the angular derivative of the radial speed at fixed radius,
+        # (|y|/r)*(2*Gamma*z + gamma - 2*gamma*z), vanishes there
+        y, z, big_g, g = 0.4, plane.z0, params_b.gamma_t2, params_b.gamma_t1
+        dtheta = (abs(y) / math.hypot(y, z)) * (2.0 * big_g * z + g - 2.0 * g * z)
+        assert dtheta == pytest.approx(0.0, abs=1e-14)
 
     def test_tangency_boundary(self):
         plane = magic_plane(RelaxationPair(1.5, 1.0))
@@ -90,26 +88,43 @@ class TestErnstEllipsoidResidual:
         )
 
 
+def _zero_radial_speed_residual(s, p):
+    """Gamma*y^2 + gamma*z^2 - gamma*z, which is -r*dr/dt under free evolution.
+
+    Zero on the ellipse dr/dt = 0, positive where the radius shrinks,
+    negative where it grows.
+    """
+    return p.gamma_t2 * s.y * s.y + p.gamma_t1 * s.z * s.z - p.gamma_t1 * s.z
+
+
 class TestZeroRadialSpeedResidual:
     def test_equilibrium_and_origin(self, params_b):
-        assert zero_radial_speed_residual(BlochState(0.0, 1.0), params_b) == 0.0
-        assert zero_radial_speed_residual(BlochState(0.0, 0.0), params_b) == 0.0
+        assert _zero_radial_speed_residual(BlochState(0.0, 1.0), params_b) == 0.0
+        assert _zero_radial_speed_residual(BlochState(0.0, 0.0), params_b) == 0.0
+        assert relax(BlochState(0.0, 1.0), 1e-3, params_b).r == 1.0
 
     def test_direct_value(self, params_b):
-        got = zero_radial_speed_residual(BlochState(0.5, 0.5), params_b)
-        assert got == pytest.approx(0.2, abs=1e-15)
-        assert radial_speed(BlochState(0.5, 0.5), params_b) < 0.0
+        s = BlochState(0.5, 0.5)
+        assert _zero_radial_speed_residual(s, params_b) == pytest.approx(0.2, abs=1e-15)
+        assert relax(s, 1e-3, params_b).r < s.r
 
     def test_sign_agrees_with_radial_speed(self, params_b):
         rng = np.random.default_rng(11)
+        h = 1e-7
         for _ in range(10_000):
             r = math.sqrt(rng.uniform(1e-4, 0.96))
             th = rng.uniform(-math.pi, math.pi)
             s = BlochState(r * math.cos(th), r * math.sin(th))
-            res = zero_radial_speed_residual(s, params_b)
-            speed = radial_speed(s, params_b)
+            res = _zero_radial_speed_residual(s, params_b)
+            # dr/dt = (-Gamma*y^2 + gamma*z*(1 - z))/r
+            speed = (-params_b.gamma_t2 * s.y**2 + params_b.gamma_t1 * s.z * (1.0 - s.z)) / r
             if abs(res) > 1e-12:
                 assert (res > 0.0) == (speed < 0.0)
+            # d(r^2)/dt = -2*res of the closed-form relaxation; the forward
+            # difference is off by ~h*|d2(r^2)/dt2| < 1e-6
+            if abs(res) > 1e-5:
+                s_h = relax(s, h, params_b)
+                assert (res > 0.0) == (s_h.y**2 + s_h.z**2 < s.y**2 + s.z**2)
 
 
 class TestClassify:
