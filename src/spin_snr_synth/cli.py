@@ -380,7 +380,6 @@ def cmd_verify(args: argparse.Namespace) -> int:
         n_structure=args.n_structure,
         n_qsurface=args.n_qsurface,
         bang_amplitude=args.amplitude,
-        q_bias=args.inject_q_bias,
     )
     doc = json.dumps(report.to_dict(), indent=2) + "\n"
     if args.out:
@@ -499,7 +498,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_v.add_argument("--n-structure", type=int, default=200)
     p_v.add_argument("--n-qsurface", type=int, default=200)
     p_v.add_argument("--amplitude", type=parse_number, default=1e4)
-    p_v.add_argument("--inject-q-bias", type=parse_number, default=0.0, help=argparse.SUPPRESS)
     p_v.add_argument("--format", choices=("text", "json"), default="text")
     p_v.add_argument("--out", default=None, help="also write the JSON report here")
     p_v.set_defaults(func=cmd_verify)

@@ -21,9 +21,12 @@ from dataclasses import dataclass
 from .bloch import DETECTION_TIME, BlochState, RelaxationPair, relax
 from .errors import BracketingError, DomainError
 from .qsurface import q_grid_arrays, q_value
-from .synthesis import SynthesisRegime, ellipsoid_y, regime, regime_boundaries
+from .synthesis import SynthesisRegime, ellipsoid_y, regime_boundaries
 
 _INV_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+
+#: Lattice resolution of the scan that seeds :func:`maximize_q_global`.
+_COARSE_N = 256
 
 
 @dataclass(frozen=True)
@@ -125,8 +128,8 @@ def _nelder_mead(f, sim: np.ndarray) -> tuple[np.ndarray, float]:
         return np.take(sim, ind, 0), np.take(fsim, ind, 0)
 
     sim, fsim = sort(sim, np.array([f(x) for x in sim]))
-    # converging restarts take <= ~210 iterations in regimes A, B and C;
-    # one stalled on the ridge stops at 500, counted from 1
+    # converging passes take <= ~210 iterations in regimes A, B and C; one
+    # start at (10, 0.1) stalls on the ridge and stops at 500, counted from 1
     for _ in range(1, 500):
         if np.max(np.abs(sim[1:] - sim[0])) <= 1e-12 and np.max(np.abs(fsim[0] - fsim[1:])) <= 1e-14:
             break
@@ -158,21 +161,18 @@ def _nelder_mead(f, sim: np.ndarray) -> tuple[np.ndarray, float]:
     return sim[0], fsim[0]
 
 
-def maximize_q_global(
-    params: RelaxationPair, coarse_n: int = 512
-) -> tuple[BlochState, float]:
+def maximize_q_global(params: RelaxationPair) -> tuple[BlochState, float]:
     """Global maximum of Q over the open half-disk.
 
-    Coarse lattice scan followed by Nelder-Mead refinement from the five
-    best cells, with shrinking-simplex restarts because the maximum sits
-    on a ridge where Q is continuous but not smooth.
+    A ``_COARSE_N``-squared lattice scan picks the five best cells, and one
+    Nelder-Mead pass from each, on a simplex with legs of 2/``_COARSE_N``,
+    refines them. Nelder-Mead needs no gradient, and Q is continuous but
+    not smooth on the ridge where the maximum sits.
     """
     # Imported here, as in every array function, so that importing the package loads no numpy.
     import numpy as np
 
-    if coarse_n < 64:
-        raise DomainError(f"coarse_n must be >= 64, got {coarse_n}")
-    y, z, _, _, q = q_grid_arrays(params, coarse_n, coarse_n)
+    y, z, _, _, q = q_grid_arrays(params, _COARSE_N, _COARSE_N)
 
     def neg_q(x: np.ndarray) -> float:
         yy, zz = float(x[0]), float(x[1])
@@ -180,18 +180,14 @@ def maximize_q_global(
             return math.inf
         return -q_value(BlochState(yy, zz), params).q
 
-    starts = np.argsort(q)[-5:]
+    h = 2.0 / _COARSE_N
     best_x = None
     best_val = math.inf
-    for idx in starts:
+    for idx in np.argsort(q)[-5:]:
         x0 = np.array([y[idx], z[idx]])
-        val = -q[idx]
-        for scale in (2.0 / coarse_n, 1e-5, 1e-7):
-            x, fx = _nelder_mead(neg_q, np.array([x0, x0 + [scale, 0.0], x0 + [0.0, scale]]))
-            if fx < val:
-                x0, val = x, fx
+        x, val = _nelder_mead(neg_q, np.array([x0, x0 + [h, 0.0], x0 + [0.0, h]]))
         if val < best_val:
-            best_x, best_val = x0, val
+            best_x, best_val = x, val
     return BlochState(float(best_x[0]), float(best_x[1])), -best_val
 
 

@@ -17,7 +17,7 @@ import math
 from dataclasses import dataclass
 
 from .bloch import DETECTION_TIME, BlochState, RelaxationPair, relax
-from .errors import BracketingError, DomainError
+from .errors import DomainError
 
 #: Tie tolerance on |r_s - r_m| and the magic-radius comparisons.
 CLASSIFY_TOL = 1e-10

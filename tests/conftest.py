@@ -1,9 +1,10 @@
 import math
+from dataclasses import replace
 
 import pytest
 from hypothesis import strategies as st
 
-from spin_snr_synth import BlochState, RelaxationPair
+from spin_snr_synth import BlochState, RelaxationPair, oracle
 
 
 @pytest.fixture(scope="session")
@@ -41,3 +42,14 @@ def half_disk_states(draw, r_min=1e-6, r_max=0.999):
     r = draw(st.floats(r_min, r_max, allow_nan=False))
     th = draw(st.floats(-math.pi / 2 + 1e-9, math.pi / 2 - 1e-9, allow_nan=False))
     return BlochState(r * math.cos(th), r * math.sin(th))
+
+
+def bias_q_value(monkeypatch, bias):
+    """Shift every Q that the oracle reads from the closed-form layer by ``bias``."""
+    exact = oracle.q_value
+
+    def biased(m, params):
+        sample = exact(m, params)
+        return replace(sample, q=sample.q + bias)
+
+    monkeypatch.setattr(oracle, "q_value", biased)

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from spin_snr_synth import (
     BallEscapeError,
     BlochState,
+    BracketingError,
     DomainError,
     EQUILIBRIUM,
     PhysicalityError,
@@ -17,8 +18,9 @@ from spin_snr_synth import (
     relax,
     relax_inverse,
     rotate,
+    simulate_structure,
 )
-from spin_snr_synth.oracle import _integrate_duration
+from spin_snr_synth.oracle import _bang_flow, _integrate_event, _rk4_u_step
 from conftest import disk_states, rate_pairs
 
 
@@ -146,16 +148,37 @@ class TestRotate:
         assert math.hypot(one.y - two.y, one.z - two.z) <= 1e-12
 
 
+def _fixed_step_flow(s, u, t, p, n=400):
+    """n equal Dormand-Prince steps under the constant field u; returns (y, z)."""
+    y, z, h = s.y, s.z, t / n
+    for _ in range(n):
+        y, z, _ = _rk4_u_step(y, z, h, lambda yy, zz: u, p.gamma_t2, p.gamma_t1)
+    return y, z
+
+
 class TestIntegrate:
-    """The oracle's step-controlled integrator against the closed-form flows."""
+    """The oracle's exact bang flow and its event-stopped integrator."""
 
     def test_free_evolution_matches_closed_form(self, params_b):
         s = BlochState(0.6, 0.3)
         exact = relax(s, 1.0, params_b)
-        y, z = _integrate_duration(s.y, s.z, _free_field, 1.0, params_b)
-        assert math.hypot(y - exact.y, z - exact.z) <= 1e-10
+        y, z = _bang_flow(s.y, s.z, 0.0, 1.0, params_b)
+        assert math.hypot(y - exact.y, z - exact.z) <= 1e-15
+
+    @pytest.mark.parametrize("u", [0.0, 0.3, -0.3, 0.4, -0.4, 50.0, -1e4])
+    def test_flow_matches_fixed_step_integration(self, params_b, u):
+        # at B, delta = (Gamma - gamma)/2 is exactly 0.4: |u| < 0.4 takes the cosh
+        # branch, |u| = 0.4 the linear one and |u| > 0.4 the cos one
+        assert 0.5 * (params_b.gamma_t2 - params_b.gamma_t1) == 0.4
+        t = 2.0 if abs(u) < 1.0 else 1.1 / abs(u)
+        for s in (BlochState(0.3, 0.5), BlochState(-0.7, -0.6), EQUILIBRIUM):
+            y, z = _bang_flow(s.y, s.z, u, t, params_b)
+            ref_y, ref_z = _fixed_step_flow(s, u, t, params_b)
+            assert math.hypot(y - ref_y, z - ref_z) <= 1e-13
 
     def test_free_evolution_batch(self, params_b):
+        # the event-stopped integrator, stopped where relax puts z after tau,
+        # lands at tau and at relax's point
         rng = np.random.default_rng(2024)
         for _ in range(100):
             r = 0.99 * math.sqrt(rng.uniform())
@@ -163,15 +186,18 @@ class TestIntegrate:
             s = BlochState(r * math.cos(th), r * math.sin(th))
             tau = rng.uniform(0.0, 2.0)
             exact = relax(s, tau, params_b)
-            y, z = _integrate_duration(s.y, s.z, _free_field, tau, params_b)
-            assert math.hypot(y - exact.y, z - exact.z) <= 1e-10
+            t, y, z = _integrate_event(
+                s.y, s.z, _free_field, lambda yy, zz: zz - exact.z, 10.0, params_b
+            )
+            assert abs(t - tau) <= 1e-11
+            assert math.hypot(y - exact.y, z - exact.z) <= 1e-12
 
     @pytest.mark.parametrize("amp", [1e2, 1e3, 1e4])
     def test_bang_limit_approaches_rotation(self, params_b, amp):
         # constant u = A over phi/A tends to rotate(s, -phi) as A grows
         s = BlochState(0.3, 0.5)
         phi = 1.1
-        y, z = _integrate_duration(s.y, s.z, lambda yy, zz: amp, phi / amp, params_b)
+        y, z = _bang_flow(s.y, s.z, amp, phi / amp, params_b)
         tgt = rotate(s, -phi)
         assert math.hypot(y - tgt.y, z - tgt.z) <= 3.0 / amp
 
@@ -180,7 +206,7 @@ class TestIntegrate:
         phi = 1.1
         errs = []
         for amp in (1e2, 1e3, 1e4):
-            y, z = _integrate_duration(s.y, s.z, lambda yy, zz: amp, phi / amp, params_b)
+            y, z = _bang_flow(s.y, s.z, amp, phi / amp, params_b)
             tgt = rotate(s, -phi)
             errs.append(math.hypot(y - tgt.y, z - tgt.z))
         assert errs[0] > errs[1] > errs[2]
@@ -188,7 +214,9 @@ class TestIntegrate:
 
     def test_invalid_arguments(self, params_b):
         with pytest.raises(DomainError):
-            _integrate_duration(EQUILIBRIUM.y, EQUILIBRIUM.z, _free_field, -1.0, params_b)
+            simulate_structure(BlochState(0.3, 0.2), params_b, 0.0)
+        with pytest.raises(BracketingError):  # free evolution never lifts z above 1
+            _integrate_event(0.0, 0.5, _free_field, lambda yy, zz: zz - 1.0, 1.0, params_b)
 
 
 def _radial_speed(s, p):
@@ -239,8 +267,8 @@ class TestRadialSpeed:
         if s.r < 0.2:
             return
         h = 1e-4
-        s1 = BlochState(*_integrate_duration(s.y, s.z, _free_field, h, p))
-        s2 = BlochState(*_integrate_duration(s.y, s.z, _free_field, 2.0 * h, p))
+        s1 = BlochState(*_bang_flow(s.y, s.z, 0.0, h, p))
+        s2 = BlochState(*_bang_flow(s.y, s.z, 0.0, 2.0 * h, p))
         fd = (s2.r - s.r) / (2.0 * h)  # central difference at t = h
         # truncation ~ (h^2/6)*max|r'''|; r''' grows with rates^3 and 1/r^2
         tol = 1e-7 * (1.0 + p.gamma_t2 + p.gamma_t1) ** 3

@@ -29,6 +29,7 @@ from spin_snr_synth import (
     q_value,
 )
 from spin_snr_synth import cli
+from conftest import bias_q_value
 
 #: One rate pair (Gamma, gamma) per synthesis regime.
 REGIMES = {"A": (3.0, 0.5), "B": (1.8, 1.0), "C": (0.5, 0.4)}
@@ -355,9 +356,10 @@ class TestExitCodes:
     def test_success(self, capsys):
         assert cli.main(["ernst", *_rates("B")]) == 0
 
-    def test_verification_failure(self, capsys):
+    def test_verification_failure(self, monkeypatch, capsys):
+        bias_q_value(monkeypatch, 1e-2)
         argv = ["verify", *_rates("B"), "--n-transfers", "2", "--n-structure", "2",
-                "--n-qsurface", "3", "--inject-q-bias", "1e-2"]
+                "--n-qsurface", "3"]
         assert cli.main(argv) == 1
 
     def test_unphysical_rates(self, capsys):

@@ -20,6 +20,7 @@ from spin_snr_synth import (
     time_vertical,
 )
 from spin_snr_synth import cli, oracle
+from conftest import bias_q_value
 
 #: One rate pair (Gamma, gamma) per synthesis regime.
 REGIMES = {"A": (3.0, 0.5), "B": (1.8, 1.0), "C": (0.5, 0.4)}
@@ -95,16 +96,25 @@ def test_verification_passes_at_reduced_counts(tag):
             assert c.measured <= 1e-9
 
 
-def test_injected_q_bias_is_caught(capsys):
+def test_injected_q_bias_is_caught(monkeypatch, capsys):
+    bias_q_value(monkeypatch, 1e-2)
     code = cli.main(
         ["verify", *_rate_args("B"), "--n-transfers", "2", "--n-structure", "2",
-         "--n-qsurface", "3", "--inject-q-bias", "1e-2", "--format", "json"]
+         "--n-qsurface", "3", "--format", "json"]
     )
     assert code == 1
     report = json.loads(capsys.readouterr().out)
     assert not report["passed"]
     failed = {c["name"] for c in report["checks"] if not c["passed"]}
     assert failed == {"qsurface-vs-simulation"}
+
+
+def test_verification_passes_just_above_the_magic_plane_threshold(capsys):
+    # at Gamma = 1.5000001*gamma the magic plane barely enters the ball, so its
+    # transfers start below y = 0.05
+    assert cli.main(["verify", "--Gamma", "1.5000001", "--gamma", "1.0", "--n-transfers", "5",
+                     "--n-structure", "10", "--n-qsurface", "10"]) == 0
+    assert "magic-time-vs-rk4" in capsys.readouterr().out
 
 
 def test_perturbed_ernst_point_is_caught(monkeypatch):

@@ -103,13 +103,14 @@ class TestTimeMagic:
         assert whole == pytest.approx(split, abs=1e-12)
 
     @given(pairs_with_plane(), st.floats(0.05, 0.95), st.floats(0.0, 1.0))
+    @example(RelaxationPair(1.5002783853171267, 1.0), 0.5, 0.0)  # |z0| = 0.99944
     @settings(max_examples=300)
     def test_matches_radius_form_of_sheet_formula(self, p, rs_frac, rm_frac):
         # the same duration written directly in the radii:
         # (1/2G) * log((4 rs^2 G (G-g) + g^2)/(4 rm^2 G (G-g) + g^2))
         big_g, g = p.gamma_t2, p.gamma_t1
         za = abs(magic_plane(p).z0)
-        r_s = za + (0.999 - za) * rs_frac
+        r_s = za + (1.0 - za) * rs_frac  # inside (|z0|, 1), also where |z0| > 0.999
         r_m = za + (r_s - za) * rm_frac
         composed = time_magic(
             math.sqrt(r_s**2 - za**2), math.sqrt(r_m**2 - za**2), p
