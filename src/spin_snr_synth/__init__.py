@@ -21,7 +21,6 @@ from .bloch import (
     RelaxationPair,
     normalize_params,
     relax,
-    relax_inverse,
     rotate,
 )
 from .ernst import (
@@ -34,7 +33,6 @@ from .ernst import (
     q_max_surface,
 )
 from .errors import (
-    BallEscapeError,
     BracketingError,
     ConvergenceError,
     DomainError,

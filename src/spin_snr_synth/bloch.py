@@ -21,7 +21,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import BallEscapeError, DomainError, PhysicalityError
+from .errors import DomainError, PhysicalityError
 
 #: Numerical slack for unit-ball membership checks.
 EPS_BALL = 1e-12
@@ -114,25 +114,6 @@ def relax(state: BlochState, tau: float, params: RelaxationPair) -> BlochState:
         state.y * math.exp(-params.gamma_t2 * tau),
         1.0 + (state.z - 1.0) * math.exp(-params.gamma_t1 * tau),
     )
-
-
-def relax_inverse(state: BlochState, tau: float, params: RelaxationPair) -> BlochState:
-    """Undo a free evolution of duration tau.
-
-    The preimage must stay inside the closed unit disk; otherwise the
-    requested state could not have come from a physical one and a
-    :class:`BallEscapeError` is raised.
-    """
-    if tau < 0.0:
-        raise DomainError(f"tau must be >= 0, got {tau}")
-    y0 = state.y * math.exp(params.gamma_t2 * tau)
-    z0 = 1.0 + (state.z - 1.0) * math.exp(params.gamma_t1 * tau)
-    if y0 * y0 + z0 * z0 > 1.0 + EPS_BALL:
-        raise BallEscapeError(
-            f"preimage ({y0}, {z0}) of ({state.y}, {state.z}) after tau={tau} "
-            "lies outside the unit disk"
-        )
-    return BlochState(y0, z0)
 
 
 def rotate(state: BlochState, phi: float) -> BlochState:

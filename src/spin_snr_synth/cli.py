@@ -55,7 +55,8 @@ from .ernst import ernst_solution, q_max_surface
 from .errors import DomainError, SpinSnrError
 from .oracle import run_verification
 from .qsurface import build_trajectory, q_grid_arrays, q_value
-from .synthesis import ControlStructure, SynthesisRegime, boundary_curves, magic_plane, regime
+from .synthesis import (ControlStructure, SynthesisRegime, _in_half_disk, boundary_curves,
+                        magic_plane, regime)
 
 SCHEMA_TAG = "# spin-snr-synth v1"
 JSON_SCHEMA = "spin-snr-synth v2"
@@ -214,7 +215,7 @@ def cmd_qsurface(args: argparse.Namespace) -> int:
         ("magic_radius_preimage", curves.magic_radius_preimage),
     ):
         for yy, zz in arr.tolist():
-            if yy < 0.0 or math.hypot(yy, zz) >= 1.0:  # q_value's own membership test
+            if not _in_half_disk(yy, zz):
                 continue
             sample = q_value(BlochState(yy, zz), params)
             edge["curve"].append(name)
@@ -373,14 +374,10 @@ def cmd_phase_diagram(args: argparse.Namespace) -> int:
 
 def cmd_verify(args: argparse.Namespace) -> int:
     params = resolve_params(args)
-    report = run_verification(
-        params,
-        seed=args.seed,
-        n_transfers=args.n_transfers,
-        n_structure=args.n_structure,
-        n_qsurface=args.n_qsurface,
-        bang_amplitude=args.amplitude,
-    )
+    options = {"seed": args.seed, "n_transfers": args.n_transfers, "n_structure": args.n_structure,
+               "n_qsurface": args.n_qsurface, "bang_amplitude": args.amplitude}
+    # an option left out keeps run_verification's own default
+    report = run_verification(params, **{k: v for k, v in options.items() if v is not None})
     doc = json.dumps(report.to_dict(), indent=2) + "\n"
     if args.out:
         _write_text(args.out, doc)
@@ -493,11 +490,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_v = sub.add_parser("verify", help="run the ODE-oracle suite against the closed forms")
     _add_param_flags(p_v)
-    p_v.add_argument("--seed", type=int, default=12345)
-    p_v.add_argument("--n-transfers", type=int, default=100)
-    p_v.add_argument("--n-structure", type=int, default=200)
-    p_v.add_argument("--n-qsurface", type=int, default=200)
-    p_v.add_argument("--amplitude", type=parse_number, default=1e4)
+    p_v.add_argument("--seed", type=int)
+    p_v.add_argument("--n-transfers", type=int)
+    p_v.add_argument("--n-structure", type=int)
+    p_v.add_argument("--n-qsurface", type=int)
+    p_v.add_argument("--amplitude", type=parse_number)
     p_v.add_argument("--format", choices=("text", "json"), default="text")
     p_v.add_argument("--out", default=None, help="also write the JSON report here")
     p_v.set_defaults(func=cmd_verify)

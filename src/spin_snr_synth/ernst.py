@@ -11,6 +11,10 @@ and the flip angle of the closing pulse is the classical Ernst angle
 arccos((e^-gamma + e^-Gamma)/(1 + e^-(Gamma+gamma))). The numeric
 optimizers in this module rediscover that point without using the
 closed form, which is how the formulas get verified; they need numpy only.
+
+The closed form is written twice: :func:`ernst_solution` on :mod:`math`,
+because the query commands load no numpy, and :func:`ernst_q` on NumPy,
+because the phase-diagram golden CSVs pin the bits of its arithmetic.
 """
 
 from __future__ import annotations
@@ -21,7 +25,8 @@ from dataclasses import dataclass
 from .bloch import DETECTION_TIME, BlochState, RelaxationPair, relax
 from .errors import BracketingError, DomainError
 from .qsurface import q_grid_arrays, q_value
-from .synthesis import SynthesisRegime, ellipsoid_y, regime_boundaries
+from .synthesis import (REGIME_DECISIONS, SynthesisRegime, _in_half_disk, _select, ellipsoid_y,
+                        regime_boundaries)
 
 _INV_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -176,7 +181,7 @@ def maximize_q_global(params: RelaxationPair) -> tuple[BlochState, float]:
 
     def neg_q(x: np.ndarray) -> float:
         yy, zz = float(x[0]), float(x[1])
-        if yy <= 0.0 or math.hypot(yy, zz) >= 1.0:  # q_value's own membership test
+        if not _in_half_disk(yy, zz):
             return math.inf
         return -q_value(BlochState(yy, zz), params).q
 
@@ -248,9 +253,7 @@ def q_max_surface(
     q = ernst_q(bb, gg)
     q[~physical] = np.nan
 
-    ab = np.array([regime_boundaries(g)[0] for g in gamma])
-    bc = 1.5 * gamma
-    regimes = np.where(bb <= bc[:, None], SynthesisRegime.C.value,
-                       np.where(bb >= ab[:, None], SynthesisRegime.A.value,
-                                SynthesisRegime.B.value))
+    ab, bc = np.array([regime_boundaries(g) for g in gamma]).T
+    labels = {reg: reg.value for reg in SynthesisRegime}
+    regimes = _select(REGIME_DECISIONS, labels, bb, ab[:, None], bc[:, None])
     return QMaxSurface(gamma, big_gamma, q, regimes, physical, ab, bc, 0.5 * gamma)

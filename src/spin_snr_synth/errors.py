@@ -13,10 +13,6 @@ class PhysicalityError(DomainError):
     """Relaxation rates violate 2*Gamma >= gamma (i.e. T2 > 2*T1)."""
 
 
-class BallEscapeError(SpinSnrError, ValueError):
-    """A state (or preimage) left the closed unit ball."""
-
-
 class ConvergenceError(SpinSnrError, RuntimeError):
     """An iteration failed to reach the requested tolerance."""
 

@@ -30,7 +30,7 @@ from .bloch import (
 from .ernst import _golden_max, ernst_solution, maximize_on_ellipsoid, maximize_q_global
 from .errors import BracketingError, ConvergenceError, DomainError
 from .qsurface import build_trajectory, control_time, q_value, time_magic, time_vertical
-from .synthesis import boundary_curves, magic_plane
+from .synthesis import _in_half_disk, boundary_curves, magic_plane
 
 #: Largest accepted local error estimate per step (absolute, in y and z).
 _LOCAL_TOL = 1e-13
@@ -447,9 +447,20 @@ def run_verification(
     n_qsurface: int = 200,
     bang_amplitude: float = 1e4,
 ) -> VerificationReport:
-    """Full oracle suite against the closed-form layer for one rate pair."""
+    """Full oracle suite against the closed-form layer for one rate pair.
+
+    Inputs are checked before any check runs; a count of 0 would pass unmeasured.
+    """
     import numpy as np
 
+    if seed < 0:
+        raise DomainError(f"seed must be >= 0, got {seed}")
+    for name, count in (("n_transfers", n_transfers), ("n_structure", n_structure),
+                        ("n_qsurface", n_qsurface)):
+        if count < 1:
+            raise DomainError(f"{name} must be >= 1, got {count}")
+    if not 0.0 < bang_amplitude < math.inf:
+        raise DomainError(f"bang_amplitude must be positive and finite, got {bang_amplitude}")
     rng = np.random.default_rng(seed)
     checks: list[VerificationCheck] = []
 
@@ -552,7 +563,7 @@ def boundary_q_jump(params: RelaxationPair, n_per_curve: int, offset: float) -> 
         for sign in (1.0, -1.0):
             yy = y + sign * offset * ny
             zz = z + sign * offset * nz
-            if yy <= 0.0 or math.hypot(yy, zz) >= 1.0:
+            if not _in_half_disk(yy, zz):
                 return 0.0
             pts.append(q_value(BlochState(yy, zz), params).q)
         return abs(pts[0] - pts[1])

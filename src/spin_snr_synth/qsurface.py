@@ -13,8 +13,10 @@ There are two paths. The scalar one plans each point once (``_plan``:
 structure, steady state and singular arcs with their travel times);
 :func:`control_time`, :func:`q_value` and :func:`build_trajectory` read
 that plan. The array one, :func:`q_lattice_arrays`, evaluates a whole
-lattice with the same decision list written as masks. Both keep a point
-only when r_m = hypot(y, z) < 1; their times can differ in the last bit.
+lattice. Both take the structure from ``synthesis.STRUCTURE_DECISIONS``
+and keep a point only when r_m = hypot(y, z) < 1. The travel times stay
+in two forms, :mod:`math` and NumPy, which round ``hypot`` and ``log1p``
+differently; the golden CSVs pin both (lattice rows and boundary rows).
 """
 
 from __future__ import annotations
@@ -25,10 +27,11 @@ from dataclasses import dataclass
 from .bloch import DETECTION_TIME, BlochState, RelaxationPair, relax
 from .errors import DomainError
 from .synthesis import (
-    CLASSIFY_TOL,
+    STRUCTURE_DECISIONS,
     ControlStructure,
     _checked_relax,
-    _classify_radii,
+    _first_match,
+    _select,
     magic_plane,
 )
 
@@ -78,7 +81,7 @@ def _plan(
     r_m, s = _checked_relax(m, params)
     r_s = s.r
     plane = magic_plane(params)
-    structure = _classify_radii(r_m, r_s, plane)
+    structure = _first_match(STRUCTURE_DECISIONS, r_m, r_s, plane.radius)
     if structure is ControlStructure.B:
         arcs = ()
     elif structure is ControlStructure.BSvPosB:
@@ -150,6 +153,8 @@ def q_lattice_arrays(
     y = yy.ravel()
     z = zz.ravel()
     r_m = np.hypot(y, z)
+    # Not synthesis._in_half_disk: the lattice also leaves out the y = 0 column,
+    # where Q = 0, and the golden CSVs pin that.
     keep = (y > 0.0) & (r_m < 1.0)
     y = y[keep]
     z = z[keep]
@@ -162,26 +167,13 @@ def q_lattice_arrays(
     r_s = np.hypot(ys, zs)
 
     plane = magic_plane(params)
-    codes = np.empty(y.shape, dtype=np.int8)
+    labels = {s: np.int8(code) for code, s in enumerate(ControlStructure)}
+    codes = _select(STRUCTURE_DECISIONS, labels, r_m, r_s, plane.radius)
+    is_pos = codes == labels[ControlStructure.BSvPosB]
+    is_neg = codes == labels[ControlStructure.BSvNegB]
+    is_h = codes == labels[ControlStructure.BShB]
+    is_hv = codes == labels[ControlStructure.BShSvNegB]
     t_c = np.zeros(y.shape, dtype=float)
-
-    is_b = np.abs(r_s - r_m) <= CLASSIFY_TOL
-    is_pos = ~is_b & (r_s < r_m)
-    rest = ~is_b & ~is_pos
-    if plane.present:
-        za = abs(plane.z0)
-        is_hv = rest & (r_s > za) & (za > r_m)
-        is_h = rest & ~is_hv & (r_m >= za)
-        is_neg = rest & ~is_hv & ~is_h
-    else:
-        is_hv = np.zeros(y.shape, dtype=bool)
-        is_h = np.zeros(y.shape, dtype=bool)
-        is_neg = rest
-
-    order = (is_b, is_pos, is_neg, is_h, is_hv)
-    for code, mask in enumerate(order):
-        codes[mask] = code
-
     t_c[is_pos] = (np.log1p(-r_s[is_pos]) - np.log1p(-r_m[is_pos])) / small_g
     t_c[is_neg] = (np.log1p(r_s[is_neg]) - np.log1p(r_m[is_neg])) / small_g
     if plane.present:

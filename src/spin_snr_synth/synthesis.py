@@ -8,6 +8,10 @@ the unit ball, and otherwise on the lower z-axis. Five pulse structures
 result; this module classifies M points, computes the geometric boundary
 curves between the structure regions, and partitions the rate plane into
 the three qualitative synthesis regimes.
+
+Each decision is one ordered list of (choice, test) pairs, whose tests act
+alike on floats and on NumPy arrays: the scalar path reads it with
+:func:`_first_match`, the array path with :func:`_select`.
 """
 
 from __future__ import annotations
@@ -57,6 +61,11 @@ class MagicPlane:
     z0: float | None
     present: bool
 
+    @property
+    def radius(self) -> float:
+        """|z0| when the plane meets the ball, else inf, which no radius reaches."""
+        return abs(self.z0) if self.present else math.inf
+
 
 def magic_plane(params: RelaxationPair) -> MagicPlane:
     big_g = params.gamma_t2
@@ -79,39 +88,45 @@ def ernst_ellipsoid_residual(m: BlochState, params: RelaxationPair) -> float:
     return ys * ys + zs * zs - m.y * m.y - m.z * m.z
 
 
-def _classify_radii(r_m: float, r_s: float, plane: MagicPlane) -> ControlStructure:
-    """Decision list of the scalar path (:func:`classify` and ``qsurface._plan``).
+def _first_match(decisions, *args):
+    """The first choice in ``decisions`` whose test holds for the scalar ``args``."""
+    for choice, test in decisions:
+        if test(*args):
+            return choice
 
-    ``qsurface.q_lattice_arrays`` writes the same comparisons as masks.
-    Ties resolve to the structure whose extra segment degenerates to zero
-    length, so the control time is continuous across the tie.
-    """
-    if abs(r_s - r_m) <= CLASSIFY_TOL:
-        return ControlStructure.B
-    if r_s < r_m:
-        return ControlStructure.BSvPosB
-    if not plane.present:
-        return ControlStructure.BSvNegB
-    za = abs(plane.z0)
-    if r_s > za > r_m:
-        return ControlStructure.BShSvNegB
-    if r_m >= za:
-        return ControlStructure.BShB
-    return ControlStructure.BSvNegB
+
+def _select(decisions, labels, *args):
+    """:func:`_first_match` elementwise over NumPy ``args``, as ``labels[choice]``."""
+    import numpy as np
+
+    choices = [labels[choice] for choice, _ in decisions]
+    # the last test always holds; the default only keeps the labels' dtype
+    return np.select([test(*args) for _, test in decisions], choices, choices[-1])
+
+
+#: The structure decision: the first structure whose test holds for the radii
+#: (r_m, r_s, za) is optimal, with za = :attr:`MagicPlane.radius`. Ties resolve to
+#: the structure whose extra segment degenerates to zero length, so the control
+#: time is continuous across the tie.
+STRUCTURE_DECISIONS = (
+    (ControlStructure.B, lambda r_m, r_s, za: abs(r_s - r_m) <= CLASSIFY_TOL),
+    (ControlStructure.BSvPosB, lambda r_m, r_s, za: r_s < r_m),
+    (ControlStructure.BShSvNegB, lambda r_m, r_s, za: (r_s > za) & (za > r_m)),
+    (ControlStructure.BShB, lambda r_m, r_s, za: r_m >= za),
+    (ControlStructure.BSvNegB, lambda r_m, r_s, za: True),
+)
+
+
+def _in_half_disk(y: float, z: float) -> bool:
+    """Whether (y, z) is a measurement point: y >= 0 and r_m = hypot(y, z) < 1."""
+    return y >= 0.0 and math.hypot(y, z) < 1.0
 
 
 def _checked_relax(m: BlochState, params: RelaxationPair) -> tuple[float, BlochState]:
-    """(r_m, S) for a measurement point m in the open half-disk, else DomainError.
-
-    Membership is decided on r_m = hypot(y, z), the radius every later
-    comparison uses; ``q_lattice_arrays`` keeps a point on the same test.
-    """
-    if m.y < 0.0:
-        raise DomainError(f"measurement point must have y >= 0, got y={m.y}")
-    r_m = m.r
-    if r_m >= 1.0:
-        raise DomainError(f"measurement point must lie in the open unit disk, |m|={r_m}")
-    return r_m, relax(m, DETECTION_TIME, params)
+    """(r_m, S) for a measurement point m in the open half-disk, else DomainError."""
+    if not _in_half_disk(m.y, m.z):
+        raise DomainError(f"measurement point ({m.y}, {m.z}) is outside the half-disk y >= 0, |m| < 1")
+    return m.r, relax(m, DETECTION_TIME, params)
 
 
 def classify(m: BlochState, params: RelaxationPair) -> ControlStructure:
@@ -120,7 +135,7 @@ def classify(m: BlochState, params: RelaxationPair) -> ControlStructure:
     m must lie in the open half-disk (y >= 0, r < 1).
     """
     r_m, s = _checked_relax(m, params)
-    return _classify_radii(r_m, s.r, magic_plane(params))
+    return _first_match(STRUCTURE_DECISIONS, r_m, s.r, magic_plane(params).radius)
 
 
 def regime_boundaries(gamma: float) -> tuple[float, float]:
@@ -139,14 +154,18 @@ def regime_boundaries(gamma: float) -> tuple[float, float]:
     return gamma_ab, 1.5 * gamma
 
 
+#: The regime decision: the first regime whose test holds for
+#: (Gamma, Gamma_ab, Gamma_bc) is the layout of the synthesis.
+REGIME_DECISIONS = (
+    (SynthesisRegime.C, lambda big_g, gamma_ab, gamma_bc: big_g <= gamma_bc),
+    (SynthesisRegime.A, lambda big_g, gamma_ab, gamma_bc: big_g >= gamma_ab),
+    (SynthesisRegime.B, lambda big_g, gamma_ab, gamma_bc: True),
+)
+
+
 def regime(params: RelaxationPair) -> SynthesisRegime:
     """Which of the three synthesis layouts the rate pair produces."""
-    gamma_ab, gamma_bc = regime_boundaries(params.gamma_t1)
-    if params.gamma_t2 <= gamma_bc:
-        return SynthesisRegime.C
-    if params.gamma_t2 >= gamma_ab:
-        return SynthesisRegime.A
-    return SynthesisRegime.B
+    return _first_match(REGIME_DECISIONS, params.gamma_t2, *regime_boundaries(params.gamma_t1))
 
 
 def ellipsoid_y(z: float, params: RelaxationPair, tol: float = 1e-12) -> float | None:
@@ -224,7 +243,7 @@ def boundary_curves(params: RelaxationPair, n: int) -> BoundaryCurves:
         empty = np.empty((0, 2), dtype=float)
         return BoundaryCurves(ellipsoid, empty, empty.copy())
 
-    za = abs(plane.z0)
+    za = plane.radius
     phi = np.linspace(-0.5 * math.pi, 0.5 * math.pi, n)
     circle = np.column_stack((za * np.cos(phi), za * np.sin(phi)))
 

@@ -44,6 +44,17 @@ def half_disk_states(draw, r_min=1e-6, r_max=0.999):
     return BlochState(r * math.cos(th), r * math.sin(th))
 
 
+def relax_inverse(state, tau, params):
+    """Reference inverse of ``relax``: the state that relaxes onto ``state`` in time tau.
+
+    A preimage outside the closed unit disk raises DomainError, from BlochState.
+    """
+    return BlochState(
+        state.y * math.exp(params.gamma_t2 * tau),
+        1.0 + (state.z - 1.0) * math.exp(params.gamma_t1 * tau),
+    )
+
+
 def bias_q_value(monkeypatch, bias):
     """Shift every Q that the oracle reads from the closed-form layer by ``bias``."""
     exact = oracle.q_value

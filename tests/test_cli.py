@@ -28,7 +28,7 @@ from spin_snr_synth import (
     q_max_surface,
     q_value,
 )
-from spin_snr_synth import cli
+from spin_snr_synth import cli, oracle
 from conftest import bias_q_value
 
 #: One rate pair (Gamma, gamma) per synthesis regime.
@@ -361,6 +361,17 @@ class TestExitCodes:
         argv = ["verify", *_rates("B"), "--n-transfers", "2", "--n-structure", "2",
                 "--n-qsurface", "3"]
         assert cli.main(argv) == 1
+
+    @pytest.mark.parametrize("option", [["--seed", "-1"], ["--n-transfers", "0"],
+                                        ["--n-structure", "0"], ["--n-qsurface", "0"],
+                                        ["--amplitude", "0"]])
+    def test_verify_input_rejected_before_any_check(self, monkeypatch, capsys, option):
+        # the first check reads the Ernst closed form; it must not be reached
+        monkeypatch.setattr(oracle, "ernst_solution", lambda params: pytest.fail("a check ran"))
+        assert cli.main(["verify", *_rates("B"), *option]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
 
     def test_unphysical_rates(self, capsys):
         assert cli.main(["ernst", "--Gamma", "0.2", "--gamma", "1.0"]) == 2

@@ -16,12 +16,11 @@ from spin_snr_synth import (
     q_grid_arrays,
     q_value,
     relax,
-    relax_inverse,
     time_magic,
     time_vertical,
 )
 from spin_snr_synth.qsurface import _linspace, q_lattice_arrays
-from conftest import half_disk_states, rate_pairs
+from conftest import half_disk_states, rate_pairs, relax_inverse
 
 ERNST_POINT_B = BlochState(0.6892739804246589, 0.2689414213699951)
 

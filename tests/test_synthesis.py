@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from spin_snr_synth import (
+    CLASSIFY_TOL,
     BlochState,
     ControlStructure,
     DomainError,
@@ -16,12 +17,13 @@ from spin_snr_synth import (
     ellipsoid_y,
     ernst_ellipsoid_residual,
     magic_plane,
+    q_max_surface,
     regime,
     regime_boundaries,
     relax,
-    relax_inverse,
 )
-from conftest import disk_states, rate_pairs
+from spin_snr_synth.synthesis import STRUCTURE_DECISIONS, _first_match, _select
+from conftest import disk_states, rate_pairs, relax_inverse
 
 ERNST_POINT_B = BlochState(0.6892739804246589, 0.2689414213699951)
 
@@ -199,6 +201,58 @@ class TestClassify:
             tag = classify(m, params_b)
             for dy, dz in ((1e-14, 0.0), (-1e-14, 0.0), (0.0, 1e-14), (0.0, -1e-14)):
                 assert classify(BlochState(m.y + dy, m.z + dz), params_b) is tag
+
+
+def _float_neighbours(x):
+    return (math.nextafter(x, -math.inf), x, math.nextafter(x, math.inf))
+
+
+@st.composite
+def tie_radii(draw):
+    """(r_m, r_s, za) with one exact tie of the structure decision list.
+
+    za is |z0| of a plane inside the ball, or inf when the plane is absent.
+    """
+    za = draw(st.one_of(st.floats(0.01, 1.0, exclude_max=True), st.just(math.inf)))
+    r = draw(st.floats(0.0, 0.999))
+    other = draw(st.floats(0.0, 0.999))
+    tie = draw(st.sampled_from(["r_s == r_m", "r_s - r_m == tol", "r_m - r_s == tol",
+                                "r_m == za", "r_s == za"]))
+    if za == math.inf and tie in ("r_m == za", "r_s == za"):
+        tie = "r_s == r_m"
+    return {
+        "r_s == r_m": (r, r),
+        "r_s - r_m == tol": (r, r + CLASSIFY_TOL),
+        "r_m - r_s == tol": (r + CLASSIFY_TOL, r),
+        "r_m == za": (za, other),
+        "r_s == za": (other, za),
+    }[tie] + (za,)
+
+
+class TestDecisionListsAgreeAtTies:
+    """The scalar and the array consumer of a decision list pick the same choice."""
+
+    @given(tie_radii())
+    @settings(max_examples=300)
+    def test_structure(self, radii):
+        r_m, r_s, za = radii
+        # the tie itself and each radius one float step to either side
+        pairs = [(a, b) for a in _float_neighbours(r_m) for b in _float_neighbours(r_s)]
+        labels = {s: np.int8(code) for code, s in enumerate(ControlStructure)}
+        codes = _select(STRUCTURE_DECISIONS, labels, np.array([a for a, _ in pairs]),
+                        np.array([b for _, b in pairs]), za)
+        for (a, b), code in zip(pairs, codes.tolist()):
+            assert tuple(ControlStructure)[code] is _first_match(STRUCTURE_DECISIONS, a, b, za)
+
+    @given(st.floats(0.05, 3.0), st.booleans())
+    @settings(max_examples=100, deadline=None)
+    def test_regime(self, g, at_ab):
+        # Gamma == Gamma_ab or Gamma == 1.5*gamma exactly, and one float step to either side
+        tie = regime_boundaries(g)[0 if at_ab else 1]
+        for big in _float_neighbours(tie):
+            scalar = regime(RelaxationPair(big, g))
+            cell = q_max_surface((g, 2.0 * g), (big, 2.0 * big), (2, 2)).regimes[0, 0]
+            assert cell == scalar.value
 
 
 class TestRegime:
