@@ -105,7 +105,8 @@ def parse_number(text: str) -> float:
 
     Plain float literals ("1e-3", "2.5E+4") parse as floats. In an
     expression, a digit directly followed by pi, or by an e that starts no
-    exponent, multiplies implicitly ("2pi", "3e").
+    exponent, multiplies implicitly ("2pi", "3e"). Only finite values are
+    returned: "inf", "nan", "1e400", "10**400" and "1/0" are rejected.
     """
     try:
         value = float(text)
@@ -116,10 +117,12 @@ def parse_number(text: str) -> float:
     s = text.strip().replace("π", "pi")
     s = re.sub(r"(\d)\s*(pi|e)\b(?![+-]\d)", r"\1*\2", s)
     try:
-        node = ast.parse(s, mode="eval").body
-        return float(_eval_node(node))
-    except (SyntaxError, ValueError, TypeError) as exc:
+        value = float(_eval_node(ast.parse(s, mode="eval").body))
+    except (SyntaxError, ValueError, TypeError, OverflowError, ZeroDivisionError) as exc:
         raise DomainError(f"cannot parse number {text!r}: {exc}") from None
+    if not math.isfinite(value):
+        raise DomainError(f"cannot parse number {text!r}: not finite")
+    return value
 
 
 def _eval_node(node: ast.AST) -> float:

@@ -54,9 +54,10 @@ def ernst_solution(params: RelaxationPair) -> ErnstSolution:
     y_m = math.sqrt(-math.expm1(-2.0 * small_g)) / (
         (1.0 + e_g) * math.sqrt(-math.expm1(-2.0 * big_g))
     )
-    flip = math.acos(
-        (e_g + math.exp(-big_g)) / (1.0 + math.exp(-big_g - small_g))
-    )
+    # The Ernst angle's arccos loses digits at a small flip; 1 - cos(flip), which is
+    # 2*sin^2(flip/2), factors into two expm1 terms that keep them.
+    one_minus_cos = math.expm1(-small_g) * math.expm1(-big_g) / (1.0 + math.exp(-big_g - small_g))
+    flip = 2.0 * math.asin(math.sqrt(0.5 * one_minus_cos))
     m = BlochState(y_m, z_m)
     return ErnstSolution(m, relax(m, DETECTION_TIME, params), y_m, flip)
 

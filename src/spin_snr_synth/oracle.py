@@ -2,15 +2,21 @@
 
 Nothing in this module trusts the analytic travel times or the Ernst
 formulas: steady states are found by iterating the physical cycle map,
-optimal flips by brute-force sweeps, and control durations by
-integrating the actual feedback fields with event stopping. The
-integrator is Dormand-Prince 5(4) with an embedded-error step controller
-(Dormand & Prince, J. Comput. Appl. Math. 6, 19, 1980; Hairer, Norsett &
-Wanner, Solving ODEs I, sec. II.4): each accepted step has an estimated
-local error of at most ``_LOCAL_TOL``. A finite-amplitude bang is a
-constant field, for which the Bloch equation is affine, so it is
-propagated by its exact 2x2 flow instead. The closed-form layer is
-accepted only because these checks reproduce it.
+optimal flips by brute-force sweeps, and control durations by running the
+actual control fields until the state reaches its planned target. Every
+constant field (a finite-amplitude bang, u = 0 on the free axis arcs)
+makes the Bloch equation affine and is propagated by its exact 2x2 flow.
+Only the 1/y feedback on the magic plane is integrated, by Dormand-Prince
+5(4) with an embedded-error step controller (Dormand & Prince, J. Comput.
+Appl. Math. 6, 19, 1980; Hairer, Norsett & Wanner, Solving ODEs I, sec.
+II.4): each accepted step has an estimated local error of at most
+``_LOCAL_TOL``. The closed-form layer is accepted only because these
+checks reproduce it.
+
+The ``rk4_`` names predate Dormand-Prince and the exact axis flow. They
+stay because the verify check names (``axis-time-vs-rk4``,
+``magic-time-vs-rk4``) and the benchmark's span and counter names are
+built from them.
 """
 
 from __future__ import annotations
@@ -43,6 +49,11 @@ _Y_FLOOR = 1e-8
 _CYCLE_TOL = 1e-14
 _CYCLE_MAX_ITER = 10_000
 
+#: Points per boundary curve at which Q continuity is probed, and the probe
+#: distance to either side of the curve.
+_JUMP_POINTS = 200
+_JUMP_OFFSET = 1e-6
+
 
 @dataclass(frozen=True)
 class CycleFixedPoint:
@@ -66,8 +77,7 @@ def _rk4_u_step(
 
     u is evaluated at every stage point. Returns the 5th-order state and
     the max-norm of the embedded (5th minus 4th order) error estimate.
-    The name predates the switch from RK4; ``perfbench`` counts integration
-    steps by wrapping this function under it.
+    ``perfbench`` counts integration steps by wrapping this function.
     """
 
     def rhs(yy: float, zz: float) -> tuple[float, float]:
@@ -106,74 +116,6 @@ def _rk4_u_step(
     return y5, z5, max(abs(err_y), abs(err_z))
 
 
-def _accepted_step(
-    y: float,
-    z: float,
-    t: float,
-    h: float,
-    u_fn: Callable[[float, float], float],
-    big_g: float,
-    small_g: float,
-) -> tuple[float, float, float, float]:
-    """Shrink h until its step passes _LOCAL_TOL; returns (h, y, z, next h).
-
-    The next proposal scales h by 0.9*(tol/err)^(1/5), kept within [0.2, 5].
-    """
-    while True:
-        y2, z2, err = _rk4_u_step(y, z, h, u_fn, big_g, small_g)
-        factor = 5.0 if err == 0.0 else min(5.0, max(0.2, 0.9 * (_LOCAL_TOL / err) ** 0.2))
-        if err <= _LOCAL_TOL:
-            return h, y2, z2, h * factor
-        h *= factor
-        if t + h == t:
-            raise ConvergenceError(f"step size underflow at t={t}", residual=err)
-
-
-def _integrate_event(
-    y: float,
-    z: float,
-    u_fn: Callable[[float, float], float],
-    event: Callable[[float, float], float],
-    t_max: float,
-    params: RelaxationPair,
-    y_relative_cap: bool = False,
-) -> tuple[float, float, float]:
-    """Advance the state until event(y, z) >= 0; returns (t, y, z).
-
-    Steps are error-controlled; when ``y_relative_cap`` is set (singular
-    magic feedback), y changes by at most ~5% per step. The crossing is
-    localized by bisecting the length of the step that crossed it,
-    re-running that one step per probe, so the event time keeps the
-    step's accuracy.
-    """
-    big_g = params.gamma_t2
-    small_g = params.gamma_t1
-    if event(y, z) >= 0.0:
-        return 0.0, y, z
-    t = 0.0
-    h = t_max
-    while t < t_max:
-        h = min(h, t_max - t)
-        if y_relative_cap:
-            dy = abs(-big_g * y - u_fn(y, z) * z)
-            if dy:
-                h = min(h, 0.05 * abs(y) / dy)
-        h, y2, z2, h_next = _accepted_step(y, z, t, h, u_fn, big_g, small_g)
-        if event(y2, z2) >= 0.0:
-            lo, hi = 0.0, h
-            for _ in range(60):
-                mid = 0.5 * (lo + hi)
-                ym, zm, _ = _rk4_u_step(y, z, mid, u_fn, big_g, small_g)
-                if event(ym, zm) >= 0.0:
-                    hi = mid
-                else:
-                    lo = mid
-            ym, zm, _ = _rk4_u_step(y, z, hi, u_fn, big_g, small_g)
-            return t + hi, ym, zm
-        y, z, t, h = y2, z2, t + h, h_next
-    raise BracketingError(f"event not reached within t_max={t_max}")
-
-
 def _bang_flow(
     y: float, z: float, u: float, t: float, params: RelaxationPair
 ) -> tuple[float, float]:
@@ -184,23 +126,26 @@ def _bang_flow(
     fixed point x* = (-u*gamma, Gamma*gamma)/(Gamma*gamma + u^2). Writing
     A = -sigma*I + N with sigma = (Gamma + gamma)/2 and delta = (Gamma - gamma)/2
     gives N^2 = (delta^2 - u^2) I, so e^(Nt) is a cosh, cos or linear form in
-    that discriminant's sign (Moler & Van Loan, SIAM Rev. 45, 3, 2003).
+    that discriminant's sign (Moler & Van Loan, SIAM Rev. 45, 3, 2003). The
+    cosh form carries e^(-wt) over into the decay, which stays finite because
+    w < sigma, so long free arcs do not overflow.
     """
     big_g, small_g = params.gamma_t2, params.gamma_t1
     den = big_g * small_g + u * u
     ys, zs = -u * small_g / den, big_g * small_g / den
     dy, dz = y - ys, z - zs
+    sigma = 0.5 * (big_g + small_g)
     delta = 0.5 * (big_g - small_g)
     disc = delta * delta - u * u
     if disc > 0.0:
         w = math.sqrt(disc)
-        c, s = math.cosh(w * t), math.sinh(w * t) / w
+        m = -math.expm1(-2.0 * w * t)  # cosh(wt) = e^(wt)*(1 - m/2), sinh(wt) = e^(wt)*m/2
+        c, s, decay = 1.0 - 0.5 * m, 0.5 * m / w, math.exp((w - sigma) * t)
     elif disc < 0.0:
         w = math.sqrt(-disc)
-        c, s = math.cos(w * t), math.sin(w * t) / w
+        c, s, decay = math.cos(w * t), math.sin(w * t) / w, math.exp(-sigma * t)
     else:
-        c, s = 1.0, t
-    decay = math.exp(-0.5 * (big_g + small_g) * t)
+        c, s, decay = 1.0, t, math.exp(-sigma * t)
     return (
         ys + decay * ((c - s * delta) * dy - s * u * dz),
         zs + decay * (s * u * dy + (c + s * delta) * dz),
@@ -210,9 +155,28 @@ def _bang_flow(
 def _axis_arc(
     y: float, z: float, z_end: float, params: RelaxationPair
 ) -> tuple[float, float, float]:
-    """Free (u = 0) travel from (y, z) until z reaches z_end; returns (t, y, z)."""
-    guard = 10.0 + 5.0 * (math.log1p(-z) - math.log1p(-z_end)) / params.gamma_t1
-    return _integrate_event(y, z, lambda yy, zz: 0.0, lambda yy, zz: zz - z_end, guard, params)
+    """Free (u = 0) travel from (y, z) until z reaches z_end; returns (t, y, z).
+
+    The field is constant, so the state at any t is the exact flow. The
+    crossing is bracketed by doubling t from 1 and located by bisecting t to
+    float resolution: the returned t is the first float at which the flow's
+    z reaches z_end, with no travel time assumed.
+    """
+    if z >= z_end:
+        return 0.0, y, z
+    if z_end >= 1.0:
+        raise BracketingError(f"free evolution relaxes z toward 1 and never reaches {z_end}")
+    lo, hi = 0.0, 1.0
+    while _bang_flow(y, z, 0.0, hi, params)[1] < z_end:
+        lo, hi = hi, 2.0 * hi
+    mid = 0.5 * (lo + hi)
+    while lo < mid < hi:
+        if _bang_flow(y, z, 0.0, mid, params)[1] < z_end:
+            lo = mid
+        else:
+            hi = mid
+        mid = 0.5 * (lo + hi)
+    return (hi, *_bang_flow(y, z, 0.0, hi, params))
 
 
 def _magic_arc(
@@ -220,28 +184,53 @@ def _magic_arc(
 ) -> tuple[float, float, float]:
     """Feedback travel on the magic plane from (y, z) down to y_end; returns (t, y, z).
 
-    The 1/y feedback is singular on the axis, so the integration stops at
+    The 1/y feedback is this module's only field that is not constant, and
+    so the only one integrated. h shrinks by 0.9*(tol/err)^(1/5), within
+    [0.2, 5], until a step's error estimate passes ``_LOCAL_TOL``, and is
+    capped to a ~5% change of y. The step that crosses the stop is bisected
+    in length, re-run per probe, so the stop time keeps the step's accuracy.
+    The feedback is singular on the axis, so the integration stops at
     ``_Y_FLOOR`` and the last sliver's time is extrapolated from the local
     slope of w = y^2, read off the integrated state, not the closed form.
-    Steps are capped to a ~5% change of y.
     """
     plane = magic_plane(params)
     if not plane.present:
         raise DomainError("magic feedback undefined: plane outside the unit ball")
-    c = params.gamma_t1 * (1.0 - plane.z0)
+    big_g, small_g = params.gamma_t2, params.gamma_t1
+    c = small_g * (1.0 - plane.z0)
     u_fn = lambda yy, zz: -c / yy
     y_stop = max(y_end, _Y_FLOOR)
-    t, y, z = _integrate_event(
-        y,
-        z,
-        u_fn,
-        lambda yy, zz: y_stop - yy,
-        10.0 + 10.0 / params.gamma_t2,
-        params,
-        y_relative_cap=True,
-    )
+    t_max = 10.0 + 10.0 / big_g
+    t, h = 0.0, t_max
+    while y > y_stop:
+        if t >= t_max:
+            raise BracketingError(f"y_end not reached within t_max={t_max}")
+        h = min(h, t_max - t)
+        dy = abs(-big_g * y - u_fn(y, z) * z)
+        if dy:
+            h = min(h, 0.05 * abs(y) / dy)
+        while True:
+            y2, z2, err = _rk4_u_step(y, z, h, u_fn, big_g, small_g)
+            factor = 5.0 if err == 0.0 else min(5.0, max(0.2, 0.9 * (_LOCAL_TOL / err) ** 0.2))
+            if err <= _LOCAL_TOL:
+                break
+            h *= factor
+            if t + h == t:
+                raise ConvergenceError(f"step size underflow at t={t}", residual=err)
+        if y2 > y_stop:
+            y, z, t, h = y2, z2, t + h, h * factor
+            continue
+        lo, hi = 0.0, h
+        for _ in range(60):
+            mid = 0.5 * (lo + hi)
+            if _rk4_u_step(y, z, mid, u_fn, big_g, small_g)[0] <= y_stop:
+                hi = mid
+            else:
+                lo = mid
+        y, z, _ = _rk4_u_step(y, z, hi, u_fn, big_g, small_g)
+        t += hi
     if y_end < y_stop:
-        w_rate = 2.0 * y * (-params.gamma_t2 * y - u_fn(y, z) * z)
+        w_rate = 2.0 * y * (-big_g * y - u_fn(y, z) * z)
         t += (y * y - y_end * y_end) / abs(w_rate)
     return t, y, z
 
@@ -325,15 +314,14 @@ def simulate_structure(
 
     Bangs become constant pulses of magnitude ``bang_amplitude``, each
     propagated by its exact flow (:func:`_bang_flow`) for the time that
-    rotates by the planned angle at that amplitude. The singular arcs run
-    their feedback fields (u = 0 on the axis, the 1/y law on the magic
-    plane) through the event-stopped integrator to the planned targets,
-    exactly as :func:`rk4_time_vertical` and :func:`rk4_time_magic` do.
-    Only the planned geometry is used, never a planned duration. Returns
-    the realized control duration and the distance from the achieved
-    endpoint to m. Both converge as O(1/amplitude); the integration
-    error, set by ``_LOCAL_TOL``, is orders of magnitude below that at any
-    practical amplitude.
+    rotates by the planned angle at that amplitude. The free axis arcs
+    (u = 0) run on the same exact flow until z reaches its planned target,
+    and the magic arcs integrate the 1/y feedback to theirs, exactly as
+    :func:`rk4_time_vertical` and :func:`rk4_time_magic` do. Only the planned
+    geometry is used, never a planned duration. Returns the realized control
+    duration and the distance from the achieved endpoint to m. Both converge
+    as O(1/amplitude); the integration error, set by ``_LOCAL_TOL``, is
+    orders of magnitude below that at any practical amplitude.
     """
     if bang_amplitude <= 0.0:
         raise DomainError(f"bang_amplitude must be positive, got {bang_amplitude}")
@@ -356,14 +344,14 @@ def simulate_structure(
 
 
 def rk4_time_vertical(z1: float, z2: float, params: RelaxationPair) -> float:
-    """Event-stopped integration measurement of the axis travel time."""
+    """Measured axis travel time: the exact free flow, bisected in time to z2."""
     if z2 < z1 or z2 >= 1.0:
         raise DomainError(f"need z1 <= z2 < 1, got ({z1}, {z2})")
     return _axis_arc(0.0, z1, z2, params)[0]
 
 
 def rk4_time_magic(y1: float, y2: float, params: RelaxationPair) -> float:
-    """Event-stopped integration measurement of the magic-plane travel time."""
+    """Measured magic-plane travel time: the integrated 1/y feedback, stopped at y2."""
     plane = magic_plane(params)
     if not plane.present:
         raise DomainError("magic plane does not intersect the unit ball for these rates")
@@ -534,7 +522,7 @@ def run_verification(
         verify_q_surface(params, n_qsurface, bang_amplitude, seed=seed + 1),
     )
 
-    add("q-continuity-across-boundaries", 1e-4, boundary_q_jump(params, 200, 1e-6))
+    add("q-continuity-across-boundaries", 1e-4, boundary_q_jump(params))
 
     arg, q_best = maximize_q_global(params)
     add(
@@ -547,9 +535,9 @@ def run_verification(
     return VerificationReport(params, seed, tuple(checks))
 
 
-def boundary_q_jump(params: RelaxationPair, n_per_curve: int, offset: float) -> float:
-    """Largest |Q(+) - Q(-)| across the boundary curves at +-offset along the normal."""
-    curves = boundary_curves(params, n_per_curve + 2)
+def boundary_q_jump(params: RelaxationPair) -> float:
+    """Largest |Q(+) - Q(-)| across the boundary curves, ``_JUMP_OFFSET`` along the normal."""
+    curves = boundary_curves(params, _JUMP_POINTS + 2)
     e2 = math.exp(-2.0 * params.gamma_t2 * DETECTION_TIME)
     e1 = math.exp(-params.gamma_t1 * DETECTION_TIME)
     worst = 0.0
@@ -561,25 +549,25 @@ def boundary_q_jump(params: RelaxationPair, n_per_curve: int, offset: float) -> 
         ny, nz = ny / norm, nz / norm
         pts = []
         for sign in (1.0, -1.0):
-            yy = y + sign * offset * ny
-            zz = z + sign * offset * nz
+            yy = y + sign * _JUMP_OFFSET * ny
+            zz = z + sign * _JUMP_OFFSET * nz
             if not _in_half_disk(yy, zz):
                 return 0.0
             pts.append(q_value(BlochState(yy, zz), params).q)
         return abs(pts[0] - pts[1])
 
     for y, z in curves.ernst_ellipsoid:
-        if y < 10.0 * offset:
+        if y < 10.0 * _JUMP_OFFSET:
             continue
         # gradient of r_s^2 - r_m^2
         zs = 1.0 + (z - 1.0) * e1
         worst = max(worst, probe(y, z, 2.0 * y * (e2 - 1.0), 2.0 * (zs * e1 - z)))
     for y, z in curves.magic_radius_circle:
-        if y < 10.0 * offset:
+        if y < 10.0 * _JUMP_OFFSET:
             continue
         worst = max(worst, probe(y, z, y, z))
     for y, z in curves.magic_radius_preimage:
-        if y < 10.0 * offset or y * y + z * z > (1.0 - 10.0 * offset) ** 2:
+        if y < 10.0 * _JUMP_OFFSET or y * y + z * z > (1.0 - 10.0 * _JUMP_OFFSET) ** 2:
             continue
         zs = 1.0 + (z - 1.0) * e1
         worst = max(worst, probe(y, z, 2.0 * y * e2, 2.0 * zs * e1))

@@ -18,12 +18,8 @@ from spin_snr_synth import (
     rotate,
     simulate_structure,
 )
-from spin_snr_synth.oracle import _bang_flow, _integrate_event, _rk4_u_step
+from spin_snr_synth.oracle import _axis_arc, _bang_flow, _rk4_u_step
 from conftest import disk_states, rate_pairs, relax_inverse
-
-
-def _free_field(y, z):
-    return 0.0
 
 
 class TestRelaxationPair:
@@ -150,12 +146,19 @@ def _fixed_step_flow(s, u, t, p, n=400):
 
 
 class TestIntegrate:
-    """The oracle's exact bang flow and its event-stopped integrator."""
+    """The oracle's exact constant-field flow and the free axis arc bisected on it."""
 
     def test_free_evolution_matches_closed_form(self, params_b):
         s = BlochState(0.6, 0.3)
         exact = relax(s, 1.0, params_b)
         y, z = _bang_flow(s.y, s.z, 0.0, 1.0, params_b)
+        assert math.hypot(y - exact.y, z - exact.z) <= 1e-15
+
+    def test_long_free_arc_stays_finite(self):
+        # at A, delta = 1.25: cosh(1.25*600) alone overflows, the decay it is carried by does not
+        params = RelaxationPair(3.0, 0.5)
+        exact = relax(BlochState(0.3, 0.5), 600.0, params)
+        y, z = _bang_flow(0.3, 0.5, 0.0, 600.0, params)
         assert math.hypot(y - exact.y, z - exact.z) <= 1e-15
 
     @pytest.mark.parametrize("u", [0.0, 0.3, -0.3, 0.4, -0.4, 50.0, -1e4])
@@ -170,8 +173,8 @@ class TestIntegrate:
             assert math.hypot(y - ref_y, z - ref_z) <= 1e-13
 
     def test_free_evolution_batch(self, params_b):
-        # the event-stopped integrator, stopped where relax puts z after tau,
-        # lands at tau and at relax's point
+        # the axis arc, stopped where relax puts z after tau, lands at tau and at
+        # relax's point
         rng = np.random.default_rng(2024)
         for _ in range(100):
             r = 0.99 * math.sqrt(rng.uniform())
@@ -179,9 +182,7 @@ class TestIntegrate:
             s = BlochState(r * math.cos(th), r * math.sin(th))
             tau = rng.uniform(0.0, 2.0)
             exact = relax(s, tau, params_b)
-            t, y, z = _integrate_event(
-                s.y, s.z, _free_field, lambda yy, zz: zz - exact.z, 10.0, params_b
-            )
+            t, y, z = _axis_arc(s.y, s.z, exact.z, params_b)
             assert abs(t - tau) <= 1e-11
             assert math.hypot(y - exact.y, z - exact.z) <= 1e-12
 
@@ -209,7 +210,7 @@ class TestIntegrate:
         with pytest.raises(DomainError):
             simulate_structure(BlochState(0.3, 0.2), params_b, 0.0)
         with pytest.raises(BracketingError):  # free evolution never lifts z above 1
-            _integrate_event(0.0, 0.5, _free_field, lambda yy, zz: zz - 1.0, 1.0, params_b)
+            _axis_arc(0.0, 0.5, 1.0, params_b)
 
 
 def _radial_speed(s, p):

@@ -373,6 +373,16 @@ class TestExitCodes:
         assert out == ""
         assert err.startswith("error:") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("text", ["1e400", "1e308*10", "10**400", "1/0"])
+    def test_nonfinite_number_rejected(self, tmp_path, text):
+        out = tmp_path / "pd.csv"
+        argv = ["phase-diagram", "--range-gamma", "0.1", text, "--grid-ny", "3", "--grid-nz", "3",
+                "--out", str(out)]
+        code, stdout, stderr = _run_checked(argv)
+        assert code == 2
+        assert "error:" in stderr and "Traceback" not in stderr
+        assert stdout == "" and not out.exists()
+
     def test_unphysical_rates(self, capsys):
         assert cli.main(["ernst", "--Gamma", "0.2", "--gamma", "1.0"]) == 2
         assert capsys.readouterr().err.startswith("error:")

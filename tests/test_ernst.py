@@ -1,3 +1,5 @@
+from decimal import Decimal, localcontext
+
 import numpy as np
 import pytest
 
@@ -61,3 +63,33 @@ def test_ellipsoid_maximum_is_the_closed_form(request, fixture):
     assert got.m.z == pytest.approx(sol.m.z, abs=1e-9)
     assert got.q == pytest.approx(sol.q, abs=1e-9)
     assert got.flip == pytest.approx(sol.flip, abs=1e-9)
+
+
+def _decimal_sin(x):
+    """sin(x) by its Taylor series, at the Decimal context's precision."""
+    term = total = x
+    k = 1
+    while abs(term) > abs(total) * Decimal(10) ** -60:
+        term = -term * x * x / ((2 * k) * (2 * k + 1))
+        total += term
+        k += 1
+    return total
+
+
+def test_flip_against_decimal_reference():
+    # sin^2(flip/2) = (1 - cos(flip))/2 = (1 - e^-gamma)(1 - e^-Gamma)/(2(1 + e^-(Gamma+gamma))),
+    # at 50 digits; 2 000 physical rate pairs, log-uniform over 1e-4 to 10^2.5, whose small
+    # flips are where an arccos form loses up to 8 digits
+    pairs = 10.0 ** np.random.default_rng(2024).uniform(-4.0, 2.5, size=(4000, 2))
+    pairs = pairs[2.0 * pairs[:, 0] >= pairs[:, 1]][:2000]
+    assert len(pairs) == 2000
+    worst = 0.0
+    with localcontext() as ctx:
+        ctx.prec = 50
+        for big_g, small_g in pairs:
+            flip = ernst_solution(RelaxationPair(big_g, small_g)).flip
+            half_sin = _decimal_sin(Decimal(flip) / 2)
+            e_big, e_small = (-Decimal(big_g)).exp(), (-Decimal(small_g)).exp()
+            exact = (1 - e_small) * (1 - e_big) / (2 * (1 + e_big * e_small))
+            worst = max(worst, float(abs(half_sin * half_sin - exact) / exact))
+    assert worst <= 1e-14
