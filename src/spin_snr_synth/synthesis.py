@@ -107,15 +107,12 @@ def _select(decisions, labels, *args):
 #: The structure decision: the first structure whose test holds for the radii
 #: (r_m, r_s, za) is optimal, with za = :attr:`MagicPlane.radius`. Ties resolve to
 #: the structure whose extra segment degenerates to zero length, so the control
-#: time is continuous across the tie. A radius within CLASSIFY_TOL of za ties with
-#: it: r_s and r_m carry rounding from relax and hypot, and a strict comparison
-#: would give a radius one float step off the magic circle a segment of length ~0.
+#: time is continuous across the tie.
 STRUCTURE_DECISIONS = (
     (ControlStructure.B, lambda r_m, r_s, za: abs(r_s - r_m) <= CLASSIFY_TOL),
     (ControlStructure.BSvPosB, lambda r_m, r_s, za: r_s < r_m),
-    (ControlStructure.BShSvNegB,
-     lambda r_m, r_s, za: (r_s > za + CLASSIFY_TOL) & (za - CLASSIFY_TOL > r_m)),
-    (ControlStructure.BShB, lambda r_m, r_s, za: r_m >= za - CLASSIFY_TOL),
+    (ControlStructure.BShSvNegB, lambda r_m, r_s, za: (r_s > za) & (za > r_m)),
+    (ControlStructure.BShB, lambda r_m, r_s, za: r_m >= za),
     (ControlStructure.BSvNegB, lambda r_m, r_s, za: True),
 )
 
