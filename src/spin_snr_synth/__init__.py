@@ -5,12 +5,16 @@ of measurement points, the analytic figure-of-merit surface Q, the Ernst
 solution, and an ODE-based oracle that independently verifies every
 closed form.
 
-Importing the package loads no numpy: the scalar layer (``bloch``,
-``classify``, ``control_time``, ``q_value``, ``build_trajectory``,
-``ernst_solution``) runs on :mod:`math`, so the ``ernst``, ``classify``
-and ``trajectory`` commands never load it. The functions that build
-arrays (the lattice kernel, the boundary curves, the rate-plane surface
-and the oracle) import numpy when first called.
+A launch loads only the code its command runs. Importing the package
+loads no numpy: the scalar layer (``bloch``, ``classify``,
+``control_time``, ``q_value``, ``build_trajectory``, ``ernst_solution``)
+runs on :mod:`math`, so the ``ernst``, ``classify`` and ``trajectory``
+commands never load it. The functions that build arrays (the lattice
+kernel, the boundary curves, the rate-plane surface and the oracle)
+import numpy when first called, so only ``qsurface``, ``phase-diagram``
+and ``verify`` load it. The oracle's names resolve on first access, so
+only ``verify`` loads :mod:`.oracle`. The records are
+:class:`typing.NamedTuple` classes, so no command loads :mod:`dataclasses`.
 """
 
 from .bloch import (
@@ -39,20 +43,6 @@ from .errors import (
     PhysicalityError,
     SpinSnrError,
 )
-from .oracle import (
-    CycleFixedPoint,
-    SweepResult,
-    VerificationCheck,
-    VerificationReport,
-    cycle_fixed_point,
-    delta_pulse_fixed_point,
-    rk4_time_magic,
-    rk4_time_vertical,
-    run_verification,
-    simulate_structure,
-    sweep_delta_pulse,
-    verify_q_surface,
-)
 from .qsurface import (
     QSample,
     Segment,
@@ -80,3 +70,28 @@ from .synthesis import (
 )
 
 __version__ = "0.1.0"
+
+#: Public names of :mod:`.oracle`, which only ``verify`` runs; each is looked
+#: up on first access (PEP 562), so importing the package loads no oracle.
+_ORACLE_NAMES = frozenset({
+    "CycleFixedPoint",
+    "SweepResult",
+    "VerificationCheck",
+    "VerificationReport",
+    "cycle_fixed_point",
+    "delta_pulse_fixed_point",
+    "rk4_time_magic",
+    "rk4_time_vertical",
+    "run_verification",
+    "simulate_structure",
+    "sweep_delta_pulse",
+    "verify_q_surface",
+})
+
+
+def __getattr__(name: str):
+    if name in _ORACLE_NAMES:
+        from . import oracle
+
+        return getattr(oracle, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -19,7 +19,7 @@ pure functions of value types; nothing keeps state between calls.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import DomainError, PhysicalityError
 
@@ -30,46 +30,54 @@ EPS_BALL = 1e-12
 DETECTION_TIME = 1.0
 
 
-@dataclass(frozen=True)
-class RelaxationPair:
+class _RelaxationPairFields(NamedTuple):
+    gamma_t2: float  # Gamma = 2*pi*Td/T2
+    gamma_t1: float  # gamma = 2*pi*Td/T1
+
+
+class RelaxationPair(_RelaxationPairFields):
     """Dimensionless relaxation rates (Gamma, gamma).
 
     Physical admissibility requires T2 <= 2*T1, i.e. 2*Gamma >= gamma.
-    Construction rejects inadmissible pairs unless ``allow_unphysical``
-    is set (useful for exploring the full parameter plane).
+    Construction rejects inadmissible pairs: with 2*Gamma < gamma, radii
+    near 1 no longer grow fastest on the upper z-axis, so the synthesis
+    does not hold there.
     """
 
-    gamma_t2: float  # Gamma = 2*pi*Td/T2
-    gamma_t1: float  # gamma = 2*pi*Td/T1
-    allow_unphysical: bool = False
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not (self.gamma_t2 > 0.0 and math.isfinite(self.gamma_t2)):
-            raise DomainError(f"Gamma must be positive and finite, got {self.gamma_t2}")
-        if not (self.gamma_t1 > 0.0 and math.isfinite(self.gamma_t1)):
-            raise DomainError(f"gamma must be positive and finite, got {self.gamma_t1}")
-        if 2.0 * self.gamma_t2 < self.gamma_t1 and not self.allow_unphysical:
+    def __new__(cls, gamma_t2: float, gamma_t1: float):
+        if not (gamma_t2 > 0.0 and math.isfinite(gamma_t2)):
+            raise DomainError(f"Gamma must be positive and finite, got {gamma_t2}")
+        if not (gamma_t1 > 0.0 and math.isfinite(gamma_t1)):
+            raise DomainError(f"gamma must be positive and finite, got {gamma_t1}")
+        if 2.0 * gamma_t2 < gamma_t1:
             raise PhysicalityError(
-                f"2*Gamma >= gamma violated (Gamma={self.gamma_t2}, gamma={self.gamma_t1}); "
-                "equivalent to T2 > 2*T1. Pass allow_unphysical=True to override."
+                f"2*Gamma >= gamma violated (Gamma={gamma_t2}, gamma={gamma_t1}); "
+                "equivalent to T2 > 2*T1, where the synthesis does not hold."
             )
+        return tuple.__new__(cls, (gamma_t2, gamma_t1))
 
 
-@dataclass(frozen=True)
-class BlochState:
+class _BlochStateFields(NamedTuple):
+    y: float
+    z: float
+
+
+class BlochState(_BlochStateFields):
     """A magnetization state (y, z) inside the closed unit disk.
 
     The polar view uses the angle measured from the +y axis:
     y = r*cos(theta), z = r*sin(theta).
     """
 
-    y: float
-    z: float
+    __slots__ = ()
 
-    def __post_init__(self):
-        r2 = self.y * self.y + self.z * self.z
+    def __new__(cls, y: float, z: float):
+        r2 = y * y + z * z
         if not (r2 <= 1.0 + EPS_BALL):
-            raise DomainError(f"state ({self.y}, {self.z}) lies outside the unit disk (r^2={r2})")
+            raise DomainError(f"state ({y}, {z}) lies outside the unit disk (r^2={r2})")
+        return tuple.__new__(cls, (y, z))
 
     @property
     def r(self) -> float:
@@ -83,21 +91,18 @@ class BlochState:
 EQUILIBRIUM = BlochState(0.0, 1.0)
 
 
-def normalize_params(
-    t1: float, t2: float, t_detect: float, allow_unphysical: bool = False
-) -> RelaxationPair:
+def normalize_params(t1: float, t2: float, t_detect: float) -> RelaxationPair:
     """Convert physical (T1, T2, Td) to the normalized rate pair.
 
     Returns Gamma = 2*pi*Td/T2 and gamma = 2*pi*Td/T1. Raises
     :class:`DomainError` on non-positive inputs and
-    :class:`PhysicalityError` when T2 > 2*T1 (unless overridden).
+    :class:`PhysicalityError` when T2 > 2*T1.
     """
     if t1 <= 0.0 or t2 <= 0.0 or t_detect <= 0.0:
         raise DomainError(f"T1, T2, Td must all be positive, got ({t1}, {t2}, {t_detect})")
     return RelaxationPair(
         gamma_t2=2.0 * math.pi * t_detect / t2,
         gamma_t1=2.0 * math.pi * t_detect / t1,
-        allow_unphysical=allow_unphysical,
     )
 
 

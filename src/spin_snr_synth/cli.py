@@ -13,10 +13,12 @@ or nan, which JSON cannot represent, is not written (exit 2). Exit codes:
   stderr.
 * 3: a file could not be written (``OSError``).
 
-``--version``, ``ernst``, ``classify`` and ``trajectory`` compute with
-:mod:`math` alone and never import numpy. numpy is imported by the
-commands that build arrays, ``qsurface``, ``phase-diagram`` and
-``verify``, inside the functions that build them.
+Each command loads only the modules it runs. ``--version``, ``ernst``,
+``classify`` and ``trajectory`` compute with :mod:`math` alone and never
+import numpy. numpy is imported by the commands that build arrays,
+``qsurface``, ``phase-diagram`` and ``verify``, inside the functions that
+build them. Only ``verify`` imports the oracle, inside :func:`cmd_verify`.
+No command loads :mod:`dataclasses`: the records are NamedTuples.
 
 ``qsurface`` and ``phase-diagram`` write a CSV (first line
 ``# spin-snr-synth v1``) plus a ``.meta.json`` sidecar in the v1 layout,
@@ -41,7 +43,6 @@ all lists of a block having the same length:
 from __future__ import annotations
 
 import argparse
-import ast
 import json
 import math
 import os
@@ -53,7 +54,6 @@ from . import __version__
 from .bloch import BlochState, RelaxationPair, normalize_params
 from .ernst import ernst_solution, q_max_surface
 from .errors import DomainError, SpinSnrError
-from .oracle import run_verification
 from .qsurface import build_trajectory, q_grid_arrays, q_value
 from .synthesis import (ControlStructure, SynthesisRegime, _in_half_disk, boundary_curves,
                         magic_plane, regime)
@@ -68,17 +68,26 @@ _REGIMES = tuple(SynthesisRegime)
 #: Rows formatted per ``%`` call when a CSV is streamed to its file.
 _CHUNK_ROWS = 65536
 
+#: v2 array columns that repeat a lattice axis: a few hundred distinct values,
+#: each formatted once.
+_AXIS_COLUMNS = frozenset({"y", "z", "gamma", "Gamma"})
+
 
 def _fmt(x: float) -> str:
     return f"{x:.17g}"
 
 
-def _distinct_strings(col: np.ndarray) -> np.ndarray:
-    """``'%.17g'`` of every element, formatting each distinct bit pattern once."""
+def _json_float(x: float) -> str:
+    """``json.dumps(x, allow_nan=False)``: the repr of a finite float, else ValueError."""
+    return float.__repr__(x) if math.isfinite(x) else json.dumps(x, allow_nan=False)
+
+
+def _distinct_strings(col: np.ndarray, fmt) -> np.ndarray:
+    """``fmt`` of every element, formatting each distinct bit pattern once."""
     import numpy as np
 
     bits, inverse = np.unique(col.view(np.int64), return_inverse=True)
-    strings = np.array(["%.17g" % v for v in bits.view(np.float64).tolist()], dtype=object)
+    strings = np.array([fmt(v) for v in bits.view(np.float64).tolist()], dtype=object)
     return strings[inverse]
 
 
@@ -114,6 +123,8 @@ def parse_number(text: str) -> float:
             return value
     except ValueError:
         pass
+    import ast  # only expressions need it, so plain literals skip the import
+
     s = text.strip().replace("π", "pi")
     s = re.sub(r"(\d)\s*(pi|e)\b(?![+-]\d)", r"\1*\2", s)
     try:
@@ -126,6 +137,8 @@ def parse_number(text: str) -> float:
 
 
 def _eval_node(node: ast.AST) -> float:
+    import ast
+
     if isinstance(node, ast.Constant) and isinstance(node.value, (int, float)):
         return float(node.value)
     if isinstance(node, ast.Name) and node.id in _NUM_NAMES:
@@ -153,11 +166,6 @@ def _add_param_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--T1", type=parse_number, help="longitudinal relaxation time (physical)")
     p.add_argument("--T2", type=parse_number, help="transverse relaxation time (physical)")
     p.add_argument("--Td", type=parse_number, help="detection duration (physical)")
-    p.add_argument(
-        "--allow-unphysical",
-        action="store_true",
-        help="accept rate pairs with 2*Gamma < gamma (T2 > 2*T1)",
-    )
 
 
 def resolve_params(args: argparse.Namespace) -> RelaxationPair:
@@ -166,9 +174,9 @@ def resolve_params(args: argparse.Namespace) -> RelaxationPair:
     if any(v is not None for v in normalized) and any(v is not None for v in physical):
         raise DomainError("give either --Gamma/--gamma or --T1/--T2/--Td, not both")
     if all(v is not None for v in normalized):
-        return RelaxationPair(args.Gamma, args.gamma, allow_unphysical=args.allow_unphysical)
+        return RelaxationPair(args.Gamma, args.gamma)
     if all(v is not None for v in physical):
-        return normalize_params(args.T1, args.T2, args.Td, allow_unphysical=args.allow_unphysical)
+        return normalize_params(args.T1, args.T2, args.Td)
     raise DomainError("parameters required: --Gamma and --gamma, or --T1, --T2 and --Td")
 
 
@@ -262,7 +270,7 @@ def cmd_qsurface(args: argparse.Namespace) -> int:
         _write_rows(
             fh,
             "%s,%s,%s,%.17g,%.17g\n",
-            [_distinct_strings(y), _distinct_strings(z), names[codes], t_c, q],
+            [_distinct_strings(y, _fmt), _distinct_strings(z, _fmt), names[codes], t_c, q],
         )
         _write_rows(
             fh,
@@ -369,13 +377,15 @@ def cmd_phase_diagram(args: argparse.Namespace) -> int:
         _write_rows(
             fh,
             "%s,%s,%.17g,%s,%d\n",
-            [_distinct_strings(gamma), _distinct_strings(big_gamma), q, regimes, physical],
+            [_distinct_strings(gamma, _fmt), _distinct_strings(big_gamma, _fmt), q, regimes, physical],
         )
     _write_text(_sidecar_path(args.out), json.dumps(meta, indent=2) + "\n")
     return 0
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
+    from .oracle import run_verification
+
     params = resolve_params(args)
     options = {"seed": args.seed, "n_transfers": args.n_transfers, "n_structure": args.n_structure,
                "n_qsurface": args.n_qsurface, "bang_amplitude": args.amplitude}
@@ -413,8 +423,10 @@ def _strict_json(doc: dict) -> list[str]:
 
     Dicts are encoded key by key and every other value on its own; an
     array (anything with ``tolist``) becomes a list only when its turn
-    comes, so one column at a time exists as Python objects. inf and nan,
-    which have no JSON form, raise DomainError before any file is opened.
+    comes, so one column at a time exists as Python objects. An array
+    under a key of ``_AXIS_COLUMNS`` is encoded by formatting each of its
+    distinct values once, to the same bytes. inf and nan, which have no
+    JSON form, raise DomainError before any file is opened.
     """
     pieces: list[str] = []
     try:
@@ -425,15 +437,18 @@ def _strict_json(doc: dict) -> list[str]:
     return pieces
 
 
-def _encode_json(value, pieces: list[str]) -> None:
+def _encode_json(value, pieces: list[str], key: str | None = None) -> None:
     if isinstance(value, dict):
         pieces.append("{")
-        for i, (key, item) in enumerate(value.items()):
-            pieces.append(f"{', ' if i else ''}{json.dumps(key)}: ")
-            _encode_json(item, pieces)
+        for i, (name, item) in enumerate(value.items()):
+            pieces.append(f"{', ' if i else ''}{json.dumps(name)}: ")
+            _encode_json(item, pieces, name)
         pieces.append("}")
         return
     if hasattr(value, "tolist"):
+        if key in _AXIS_COLUMNS:
+            pieces.append("[" + ", ".join(_distinct_strings(value, _json_float).tolist()) + "]")
+            return
         value = value.tolist()
     pieces.append(json.dumps(value, allow_nan=False))
 

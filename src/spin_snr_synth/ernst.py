@@ -20,7 +20,7 @@ because the phase-diagram golden CSVs pin the bits of its arithmetic.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .bloch import DETECTION_TIME, BlochState, RelaxationPair, relax
 from .errors import BracketingError, DomainError
@@ -34,8 +34,7 @@ _INV_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 _COARSE_N = 256
 
 
-@dataclass(frozen=True)
-class ErnstSolution:
+class ErnstSolution(NamedTuple):
     """Optimal steady-state cycle: measurement point, steady state, Q, flip."""
 
     m: BlochState
@@ -197,8 +196,7 @@ def maximize_q_global(params: RelaxationPair) -> tuple[BlochState, float]:
     return BlochState(float(best_x[0]), float(best_x[1])), -best_val
 
 
-@dataclass(frozen=True)
-class QMaxSurface:
+class QMaxSurface(NamedTuple):
     """Ernst-solution Q over a (gamma, Gamma) lattice.
 
     ``q`` and ``regimes`` are indexed [i_gamma, i_Gamma]; unphysical

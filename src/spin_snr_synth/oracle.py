@@ -22,8 +22,7 @@ built from them.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from .bloch import (
     DETECTION_TIME,
@@ -55,8 +54,7 @@ _JUMP_POINTS = 200
 _JUMP_OFFSET = 1e-6
 
 
-@dataclass(frozen=True)
-class CycleFixedPoint:
+class CycleFixedPoint(NamedTuple):
     """Steady state of the pulse-then-detect cycle map."""
 
     s: BlochState
@@ -278,8 +276,7 @@ def delta_pulse_fixed_point(
     return sy, sz, c * sy + s * sz
 
 
-@dataclass(frozen=True)
-class SweepResult:
+class SweepResult(NamedTuple):
     best_flip: float
     best_q: float
 
@@ -392,16 +389,14 @@ def verify_q_surface(
     return worst
 
 
-@dataclass(frozen=True)
-class VerificationCheck:
+class VerificationCheck(NamedTuple):
     name: str
     tolerance: float
     measured: float
     passed: bool
 
 
-@dataclass(frozen=True)
-class VerificationReport:
+class VerificationReport(NamedTuple):
     params: RelaxationPair
     seed: int
     checks: tuple[VerificationCheck, ...]

@@ -22,7 +22,7 @@ differently; the golden CSVs pin both (lattice rows and boundary rows).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .bloch import DETECTION_TIME, BlochState, RelaxationPair, relax
 from .errors import DomainError
@@ -111,8 +111,7 @@ def control_time(m: BlochState, params: RelaxationPair) -> tuple[ControlStructur
     return structure, t_c
 
 
-@dataclass(frozen=True)
-class QSample:
+class QSample(NamedTuple):
     """One evaluated point of the Q surface."""
 
     m: BlochState
@@ -191,8 +190,7 @@ def q_lattice_arrays(
     return y, z, codes, t_c, q
 
 
-@dataclass(frozen=True)
-class Segment:
+class Segment(NamedTuple):
     """One leg of the optimal cycle.
 
     kind is one of "bang" (instantaneous rotation by ``flip``),
@@ -243,8 +241,7 @@ def _linspace(a: float, b: float, n: int) -> list[float]:
     return pts
 
 
-@dataclass(frozen=True)
-class Trajectory:
+class Trajectory(NamedTuple):
     """Ordered segments of one optimal cycle for a measurement point."""
 
     m: BlochState

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .bloch import DETECTION_TIME, BlochState, RelaxationPair, relax
 from .errors import DomainError
@@ -49,8 +49,7 @@ class SynthesisRegime(enum.Enum):
     C = "C"
 
 
-@dataclass(frozen=True)
-class MagicPlane:
+class MagicPlane(NamedTuple):
     """Horizontal plane of fastest radial shrinkage, z = z0.
 
     ``present`` is True only when the plane intersects the open unit
@@ -202,8 +201,7 @@ def ellipsoid_y(z: float, params: RelaxationPair, tol: float = 1e-12) -> float |
     return 0.5 * (lo + hi)
 
 
-@dataclass(frozen=True)
-class BoundaryCurves:
+class BoundaryCurves(NamedTuple):
     """Sampled boundary curves between structure regions, in M-space.
 
     Arrays have shape (k, 2) with columns (y, z). ``magic_radius_circle``

@@ -1,5 +1,4 @@
 import math
-from dataclasses import replace
 
 import pytest
 from hypothesis import strategies as st
@@ -61,6 +60,6 @@ def bias_q_value(monkeypatch, bias):
 
     def biased(m, params):
         sample = exact(m, params)
-        return replace(sample, q=sample.q + bias)
+        return sample._replace(q=sample.q + bias)
 
     monkeypatch.setattr(oracle, "q_value", biased)

@@ -1,10 +1,13 @@
+import ast
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import spin_snr_synth
 from spin_snr_synth import (
     BlochState,
     BracketingError,
@@ -12,11 +15,25 @@ from spin_snr_synth import (
     EQUILIBRIUM,
     PhysicalityError,
     RelaxationPair,
+    VerificationCheck,
+    VerificationReport,
+    bloch,
+    boundary_curves,
+    build_trajectory,
+    cycle_fixed_point,
+    ernst,
+    ernst_solution,
     magic_plane,
     normalize_params,
+    oracle,
+    q_max_surface,
+    q_value,
+    qsurface,
     relax,
     rotate,
     simulate_structure,
+    sweep_delta_pulse,
+    synthesis,
 )
 from spin_snr_synth.oracle import _axis_arc, _bang_flow, _rk4_u_step
 from conftest import disk_states, rate_pairs, relax_inverse
@@ -37,9 +54,12 @@ class TestRelaxationPair:
         with pytest.raises(PhysicalityError):
             normalize_params(1.0, 3.0, 1.0)
 
-    def test_override_accepts_unphysical(self):
-        p = normalize_params(1.0, 3.0, 1.0, allow_unphysical=True)
-        assert 2.0 * p.gamma_t2 < p.gamma_t1
+    def test_unphysical_has_no_override(self):
+        # the synthesis does not hold at 2*Gamma < gamma, so no keyword lets such a pair in
+        with pytest.raises(TypeError):
+            normalize_params(1.0, 3.0, 1.0, allow_unphysical=True)
+        with pytest.raises(TypeError):
+            RelaxationPair(0.4, 1.0, allow_unphysical=True)
 
     @pytest.mark.parametrize("t1,t2,td", [(0.0, 1, 1), (1, -2, 1), (1, 1, 0.0)])
     def test_nonpositive_inputs_rejected(self, t1, t2, td):
@@ -49,9 +69,9 @@ class TestRelaxationPair:
     def test_direct_construction_validates(self):
         with pytest.raises(DomainError):
             RelaxationPair(-1.0, 1.0)
-        with pytest.raises(PhysicalityError):
+        with pytest.raises(PhysicalityError, match=r"Gamma=0\.4, gamma=1\.0"):
             RelaxationPair(0.4, 1.0)
-        assert RelaxationPair(0.4, 1.0, allow_unphysical=True).gamma_t2 == 0.4
+        assert RelaxationPair(0.5, 1.0).gamma_t2 == 0.5  # 2*Gamma = gamma is admissible
 
 
 class TestBlochState:
@@ -63,6 +83,66 @@ class TestBlochState:
     def test_polar_view_exact(self, s):
         assert s.r * math.cos(s.theta) == pytest.approx(s.y, abs=1e-15)
         assert s.r * math.sin(s.theta) == pytest.approx(s.z, abs=1e-15)
+
+
+_PARAMS = RelaxationPair(1.8, 1.0)
+_POINT = BlochState(0.3, 0.1)
+_CHECK = VerificationCheck("closure", 1e-9, 0.0, True)
+
+#: One builder per record type of the package.
+RECORD_BUILDERS = {
+    RelaxationPair: lambda: _PARAMS,
+    BlochState: lambda: _POINT,
+    synthesis.MagicPlane: lambda: magic_plane(_PARAMS),
+    synthesis.BoundaryCurves: lambda: boundary_curves(_PARAMS, 8),
+    qsurface.QSample: lambda: q_value(_POINT, _PARAMS),
+    qsurface.Segment: lambda: build_trajectory(_POINT, _PARAMS).segments[0],
+    qsurface.Trajectory: lambda: build_trajectory(_POINT, _PARAMS),
+    ernst.ErnstSolution: lambda: ernst_solution(_PARAMS),
+    ernst.QMaxSurface: lambda: q_max_surface((0.1, 2.0), (0.1, 3.0), (4, 4)),
+    oracle.CycleFixedPoint: lambda: cycle_fixed_point(1.0, _PARAMS),
+    oracle.SweepResult: lambda: sweep_delta_pulse(_PARAMS),
+    VerificationCheck: lambda: _CHECK,
+    VerificationReport: lambda: VerificationReport(_PARAMS, 1, (_CHECK,)),
+}
+
+
+class TestRecords:
+    def test_every_record_type_has_a_builder(self):
+        found = {
+            obj
+            for mod in (bloch, synthesis, qsurface, ernst, oracle)
+            for name, obj in vars(mod).items()
+            if isinstance(obj, type) and issubclass(obj, tuple) and not name.startswith("_")
+        }
+        assert found == set(RECORD_BUILDERS)
+
+    @pytest.mark.parametrize("cls", list(RECORD_BUILDERS), ids=lambda cls: cls.__name__)
+    def test_fields_are_read_only(self, cls):
+        record = RECORD_BUILDERS[cls]()
+        assert type(record) is cls
+        for field in record._fields:
+            with pytest.raises(AttributeError):
+                setattr(record, field, getattr(record, field))
+        with pytest.raises(AttributeError):
+            record.extra = None
+
+    def test_validated_records_check_every_construction(self):
+        with pytest.raises(DomainError):
+            BlochState(1.1, 0)
+        with pytest.raises(PhysicalityError):
+            RelaxationPair(0.1, 1.0)
+
+    def test_package_never_skips_validation(self):
+        # _replace and _make build a record without calling its __new__
+        src = Path(spin_snr_synth.__file__).parent
+        attributes = {
+            node.attr
+            for path in src.glob("*.py")
+            for node in ast.walk(ast.parse(path.read_text()))
+            if isinstance(node, ast.Attribute)
+        }
+        assert not {"_replace", "_make"} & attributes
 
 
 class TestRelax:

@@ -123,7 +123,7 @@ class TestCsvByteIdentity:
         col = np.array([0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, 1 / 3, 1 / 3, -1e300])
         path = tmp_path / "rows.txt"
         with cli._open_text(str(path)) as fh:
-            cli._write_rows(fh, "%s;%.17g\n", [cli._distinct_strings(col), col])
+            cli._write_rows(fh, "%s;%.17g\n", [cli._distinct_strings(col, cli._fmt), col])
         assert path.read_text() == "".join(f"{_f(v)};{_f(v)}\n" for v in col.tolist())
 
 
@@ -206,6 +206,9 @@ class TestJsonV2:
         for bad in (math.inf, -math.inf, math.nan):
             with pytest.raises(spin_snr_synth.DomainError):
                 cli._strict_json({"q": [0.5, bad]})
+            # an axis column goes through the distinct-value encoder
+            with pytest.raises(spin_snr_synth.DomainError):
+                cli._strict_json({"cells": {"gamma": np.array([0.5, bad, 0.5])}})
 
     def test_csv_sidecars_keep_v1(self, tmp_path):
         run_qsurface(tmp_path, "C", 20, 20)
@@ -267,7 +270,7 @@ print(status, "scipy" in sys.modules)
 
 
 #: Runs each argv of the JSON list argv[1] through ``cli.main`` in one
-#: process; prints the exit codes and whether numpy got imported.
+#: process; prints the exit codes and the names of the loaded modules.
 _MAIN_LOOP = """
 import contextlib, io, json, sys
 from spin_snr_synth import cli
@@ -278,8 +281,12 @@ for argv in json.loads(sys.argv[1]):
             codes.append(cli.main(argv))
         except SystemExit as exc:
             codes.append(exc.code)
-print(json.dumps([codes, "numpy" in sys.modules]))
+print(json.dumps([codes, sorted(sys.modules)]))
 """
+
+#: Modules that no query command with plain number literals needs: the array
+#: layer, the oracle, the expression parser and what ``dataclasses`` pulls in.
+_NOT_FOR_QUERIES = {"numpy", "dataclasses", "inspect", "spin_snr_synth.oracle", "ast"}
 
 
 def test_query_commands_leave_numpy_unloaded(tmp_path):
@@ -293,13 +300,29 @@ def test_query_commands_leave_numpy_unloaded(tmp_path):
         ["trajectory", *_rates("A"), "--point", "-0.2", "0.1"],  # y < 0
         ["ernst", "--Gamma", "0.2", "--gamma", "1.0"],  # unphysical
     ]
-    codes, numpy_loaded = json.loads(_run_python(_MAIN_LOOP, json.dumps(argvs)))
+    codes, loaded = json.loads(_run_python(_MAIN_LOOP, json.dumps(argvs)))
     assert codes == [0, 0, 0, 0, 0, 2, 2, 2]
-    assert not numpy_loaded
+    assert not _NOT_FOR_QUERIES & set(loaded)
 
     argv = ["qsurface", *_rates("C"), "--grid-ny", "8", "--grid-nz", "8",
             "--out", str(tmp_path / "qs.csv")]
-    assert json.loads(_run_python(_MAIN_LOOP, json.dumps([argv]))) == [[0], True]
+    codes, loaded = json.loads(_run_python(_MAIN_LOOP, json.dumps([argv])))
+    assert codes == [0]
+    assert "numpy" in loaded and "spin_snr_synth.oracle" not in loaded
+
+    argv = ["verify", *_rates("B"), "--n-transfers", "2", "--n-structure", "2", "--n-qsurface", "2"]
+    codes, loaded = json.loads(_run_python(_MAIN_LOOP, json.dumps([argv])))
+    assert codes == [0]
+    assert "spin_snr_synth.oracle" in loaded
+
+
+def test_package_resolves_oracle_names_on_demand():
+    from spin_snr_synth import oracle
+
+    assert spin_snr_synth.run_verification is oracle.run_verification
+    assert spin_snr_synth.VerificationReport is oracle.VerificationReport
+    with pytest.raises(AttributeError):
+        spin_snr_synth.no_such_name
 
 
 @pytest.mark.parametrize("preset, expected", [(None, "1"), ("2", "2")])
@@ -383,9 +406,19 @@ class TestExitCodes:
         assert "error:" in stderr and "Traceback" not in stderr
         assert stdout == "" and not out.exists()
 
-    def test_unphysical_rates(self, capsys):
-        assert cli.main(["ernst", "--Gamma", "0.2", "--gamma", "1.0"]) == 2
-        assert capsys.readouterr().err.startswith("error:")
+    def test_unphysical_rates(self, tmp_path, capsys):
+        # every command that takes rates rejects 2*Gamma < gamma and names them
+        rates = ["--Gamma", "0.1", "--gamma", "1.0"]
+        point = ["--point", "0.025", "-0.975"]
+        for argv in (["ernst", *rates], ["classify", *rates, *point], ["trajectory", *rates, *point],
+                     ["qsurface", *rates, "--grid-ny", "8", "--grid-nz", "8",
+                      "--out", str(tmp_path / "qs.csv")],
+                     ["verify", *rates, "--n-transfers", "2"],
+                     ["ernst", "--T1", "1", "--T2", "30", "--Td", "0.1"]):
+            assert cli.main(argv) == 2, argv
+            err = capsys.readouterr().err
+            assert err.startswith("error: 2*Gamma >= gamma violated (Gamma="), argv
+        assert not list(tmp_path.iterdir())
 
     def test_computation_error(self, monkeypatch, capsys):
         def no_convergence(params):

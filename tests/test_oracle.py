@@ -1,7 +1,6 @@
 """The integration oracle: travel times, structure simulation, the verify suite."""
 
 import json
-from dataclasses import replace
 
 import pytest
 
@@ -153,7 +152,7 @@ def test_perturbed_ernst_point_is_caught(monkeypatch):
     params = _params("B")
     sol = oracle.ernst_solution(params)
     moved = BlochState(sol.m.y, sol.m.z + 1e-7)
-    monkeypatch.setattr(oracle, "ernst_solution", lambda p: replace(sol, m=moved))
+    monkeypatch.setattr(oracle, "ernst_solution", lambda p: sol._replace(m=moved))
     report = run_verification(params, n_transfers=2, n_structure=2, n_qsurface=2)
     check = next(c for c in report.checks if c.name == "ellipsoid-max-vs-closed-form")
     assert not check.passed

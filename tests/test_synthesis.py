@@ -292,7 +292,7 @@ class TestRegime:
         g = 1.0
         ab, bc = regime_boundaries(g)
         tags = [
-            regime(RelaxationPair(big, g, allow_unphysical=True)).value
+            regime(RelaxationPair(big, g)).value
             for big in np.linspace(0.51, 3.0, 4000)
         ]
         switches = [(a, b) for a, b in zip(tags, tags[1:]) if a != b]
