@@ -8,11 +8,11 @@ closed form.
 A launch loads only the code its command runs. Importing the package
 loads no numpy: the scalar layer (``bloch``, ``classify``,
 ``control_time``, ``q_value``, ``build_trajectory``, ``ernst_solution``)
-runs on :mod:`math`, so the ``ernst``, ``classify`` and ``trajectory``
-commands never load it. The functions that build arrays (the lattice
-kernel, the boundary curves, the rate-plane surface and the oracle)
-import numpy when first called, so only ``qsurface``, ``phase-diagram``
-and ``verify`` load it. The oracle's names resolve on first access, so
+runs on :mod:`math`, and so do the oracle and the global Q search, so the
+``ernst``, ``classify``, ``trajectory`` and ``verify`` commands never load
+it. The functions that build arrays (the lattice kernel, the boundary-curve
+arrays and the rate-plane surface) import numpy when first called, so only
+``qsurface`` and ``phase-diagram`` load it. The oracle's names resolve on first access, so
 only ``verify`` loads :mod:`.oracle`. The records are
 :class:`typing.NamedTuple` classes, so no command loads :mod:`dataclasses`.
 """

@@ -14,10 +14,10 @@ or nan, which JSON cannot represent, is not written (exit 2). Exit codes:
 * 3: a file could not be written (``OSError``).
 
 Each command loads only the modules it runs. ``--version``, ``ernst``,
-``classify`` and ``trajectory`` compute with :mod:`math` alone and never
-import numpy. numpy is imported by the commands that build arrays,
-``qsurface``, ``phase-diagram`` and ``verify``, inside the functions that
-build them. Only ``verify`` imports the oracle, inside :func:`cmd_verify`.
+``classify``, ``trajectory`` and ``verify`` compute with :mod:`math` alone
+and never import numpy. Only the commands that build arrays, ``qsurface``
+and ``phase-diagram``, import it, inside the functions that build them.
+Only ``verify`` imports the oracle, inside :func:`cmd_verify`.
 No command loads :mod:`dataclasses`: the records are NamedTuples.
 
 ``qsurface`` and ``phase-diagram`` write a CSV (first line

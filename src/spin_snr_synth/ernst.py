@@ -10,7 +10,8 @@ y_m. Maximizing y along the ellipsoid gives the closed form
 and the flip angle of the closing pulse is the classical Ernst angle
 arccos((e^-gamma + e^-Gamma)/(1 + e^-(Gamma+gamma))). The numeric
 optimizers in this module rediscover that point without using the
-closed form, which is how the formulas get verified; they need numpy only.
+closed form, which is how the formulas get verified; they run on
+:mod:`math` alone, so ``verify`` loads no numpy.
 
 The closed form is written twice: :func:`ernst_solution` on :mod:`math`,
 because the query commands load no numpy, and :func:`ernst_q` on NumPy,
@@ -24,14 +25,14 @@ from typing import NamedTuple
 
 from .bloch import DETECTION_TIME, BlochState, RelaxationPair, relax
 from .errors import BracketingError, DomainError
-from .qsurface import q_grid_arrays, q_value
-from .synthesis import (REGIME_DECISIONS, SynthesisRegime, _in_half_disk, _select, ellipsoid_y,
-                        regime_boundaries)
+from .qsurface import q_value
+from .synthesis import (REGIME_DECISIONS, SynthesisRegime, _in_half_disk, _linspace, _select,
+                        ellipsoid_y, regime_boundaries)
 
 _INV_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
 #: Lattice resolution of the scan that seeds :func:`maximize_q_global`.
-_COARSE_N = 256
+_COARSE_N = 64
 
 
 class ErnstSolution(NamedTuple):
@@ -117,50 +118,53 @@ def maximize_on_ellipsoid(params: RelaxationPair) -> ErnstSolution:
     return ErnstSolution(m, s, m.y, s.theta - m.theta)
 
 
-def _nelder_mead(f, sim: np.ndarray) -> tuple[np.ndarray, float]:
-    """Minimize f from the 3 x 2 simplex ``sim``; returns (argmin, min).
+def _nelder_mead(f, sim: list[list[float]]) -> tuple[list[float], float]:
+    """Minimize f from the 3-vertex simplex ``sim`` of [y, z] lists; returns (argmin, min).
 
     Non-adaptive Nelder-Mead (Lagarias et al., SIAM J. Optim. 9, 112, 1998):
     reflection 1, expansion 2, contraction and shrink 1/2. The arithmetic of
-    each move, the argsort re-sort after every iteration and the joint
-    xatol = 1e-12 / fatol = 1e-14 stop are fixed, because the tests pin the
+    each move, the stable re-sort after every iteration and the joint
+    xatol = 1e-12 / fatol = 1e-14 stop are scipy's, because the tests pin the
     bits of the argmax it returns.
     """
-    import numpy as np
 
     def sort(sim, fsim):
-        ind = np.argsort(fsim)
-        return np.take(sim, ind, 0), np.take(fsim, ind, 0)
+        order = sorted(range(3), key=fsim.__getitem__)
+        return [sim[i] for i in order], [fsim[i] for i in order]
 
-    sim, fsim = sort(sim, np.array([f(x) for x in sim]))
-    # converging passes take <= ~210 iterations in regimes A, B and C; one
-    # start at (10, 0.1) stalls on the ridge and stops at 500, counted from 1
+    def towards(a, b, wa, wb):
+        return [wa * a[0] + wb * b[0], wa * a[1] + wb * b[1]]
+
+    sim, fsim = sort(sim, [f(x) for x in sim])
+    # the 60 passes at the 12 pinned rate pairs take <= ~300 iterations; three
+    # starts at (50, 10), whose maximum sits at the rim, stop at 500, counted from 1
     for _ in range(1, 500):
-        if np.max(np.abs(sim[1:] - sim[0])) <= 1e-12 and np.max(np.abs(fsim[0] - fsim[1:])) <= 1e-14:
+        if (all(abs(x[k] - sim[0][k]) <= 1e-12 for x in sim[1:] for k in (0, 1))
+                and all(abs(fsim[0] - fx) <= 1e-14 for fx in fsim[1:])):
             break
-        xbar = np.add.reduce(sim[:-1], 0) / 2
-        xr = 2 * xbar - sim[-1]
+        xbar = [(sim[0][0] + sim[1][0]) / 2, (sim[0][1] + sim[1][1]) / 2]
+        xr = towards(xbar, sim[-1], 2, -1)
         fxr = f(xr)
         if fxr < fsim[0]:
-            xe = 3 * xbar - 2 * sim[-1]
+            xe = towards(xbar, sim[-1], 3, -2)
             fxe = f(xe)
             sim[-1], fsim[-1] = (xe, fxe) if fxe < fxr else (xr, fxr)
         elif fxr < fsim[-2]:
             sim[-1], fsim[-1] = xr, fxr
         else:
             if fxr < fsim[-1]:  # outside contraction
-                xc = 1.5 * xbar - 0.5 * sim[-1]
+                xc = towards(xbar, sim[-1], 1.5, -0.5)
                 fxc = f(xc)
                 accept = fxc <= fxr
             else:  # inside contraction
-                xc = 0.5 * xbar + 0.5 * sim[-1]
+                xc = towards(xbar, sim[-1], 0.5, 0.5)
                 fxc = f(xc)
                 accept = fxc < fsim[-1]
             if accept:
                 sim[-1], fsim[-1] = xc, fxc
             else:  # shrink toward the best vertex
                 for j in (1, 2):
-                    sim[j] = sim[0] + 0.5 * (sim[j] - sim[0])
+                    sim[j] = [sim[0][k] + 0.5 * (sim[j][k] - sim[0][k]) for k in (0, 1)]
                     fsim[j] = f(sim[j])
         sim, fsim = sort(sim, fsim)
     return sim[0], fsim[0]
@@ -169,31 +173,29 @@ def _nelder_mead(f, sim: np.ndarray) -> tuple[np.ndarray, float]:
 def maximize_q_global(params: RelaxationPair) -> tuple[BlochState, float]:
     """Global maximum of Q over the open half-disk.
 
-    A ``_COARSE_N``-squared lattice scan picks the five best cells, and one
-    Nelder-Mead pass from each, on a simplex with legs of 2/``_COARSE_N``,
-    refines them. Nelder-Mead needs no gradient, and Q is continuous but
-    not smooth on the ridge where the maximum sits.
+    Q at the y > 0 points of a ``_COARSE_N``-squared lattice picks the five
+    best cells, and one Nelder-Mead pass from each, on a simplex with legs
+    of 2/``_COARSE_N``, refines them. Nelder-Mead needs no gradient, and Q
+    is continuous but not smooth on the ridge where the maximum sits.
     """
-    # Imported here, as in every array function, so that importing the package loads no numpy.
-    import numpy as np
 
-    y, z, _, _, q = q_grid_arrays(params, _COARSE_N, _COARSE_N)
-
-    def neg_q(x: np.ndarray) -> float:
-        yy, zz = float(x[0]), float(x[1])
-        if not _in_half_disk(yy, zz):
+    def neg_q(x: list[float]) -> float:
+        if not _in_half_disk(x[0], x[1]):
             return math.inf
-        return -q_value(BlochState(yy, zz), params).q
+        return -q_value(BlochState(x[0], x[1]), params).q
 
+    cells = [(y, z) for y in _linspace(0.0, 1.0, _COARSE_N) if y > 0.0
+             for z in _linspace(-1.0, 1.0, _COARSE_N) if _in_half_disk(y, z)]
+    q = [q_value(BlochState(y, z), params).q for y, z in cells]
     h = 2.0 / _COARSE_N
     best_x = None
     best_val = math.inf
-    for idx in np.argsort(q)[-5:]:
-        x0 = np.array([y[idx], z[idx]])
-        x, val = _nelder_mead(neg_q, np.array([x0, x0 + [h, 0.0], x0 + [0.0, h]]))
+    for i in sorted(range(len(q)), key=q.__getitem__)[-5:]:
+        y, z = cells[i]
+        x, val = _nelder_mead(neg_q, [[y, z], [y + h, z], [y, z + h]])
         if val < best_val:
             best_x, best_val = x, val
-    return BlochState(float(best_x[0]), float(best_x[1])), -best_val
+    return BlochState(*best_x), -best_val
 
 
 class QMaxSurface(NamedTuple):

@@ -13,6 +13,10 @@ II.4): each accepted step has an estimated local error of at most
 ``_LOCAL_TOL``. The closed-form layer is accepted only because these
 checks reproduce it.
 
+The module runs on :mod:`math` alone. Its random inputs come from
+:class:`random.Random` (seed, and seed + 1 for the Q-surface points), each
+uniform drawn as a + (b - a)*U, so a seed names the same draws everywhere.
+
 The ``rk4_`` names predate Dormand-Prince and the exact axis flow. They
 stay because the verify check names (``axis-time-vs-rk4``,
 ``magic-time-vs-rk4``) and the benchmark's span and counter names are
@@ -22,6 +26,7 @@ built from them.
 from __future__ import annotations
 
 import math
+import random
 from typing import Callable, NamedTuple
 
 from .bloch import (
@@ -35,7 +40,7 @@ from .bloch import (
 from .ernst import _golden_max, ernst_solution, maximize_on_ellipsoid, maximize_q_global
 from .errors import BracketingError, ConvergenceError, DomainError
 from .qsurface import build_trajectory, control_time, q_value, time_magic, time_vertical
-from .synthesis import _in_half_disk, boundary_curves, magic_plane
+from .synthesis import _boundary_points, _in_half_disk, _linspace, magic_plane
 
 #: Largest accepted local error estimate per step (absolute, in y and z).
 _LOCAL_TOL = 1e-13
@@ -254,22 +259,17 @@ def cycle_fixed_point(flip: float, params: RelaxationPair) -> CycleFixedPoint:
     )
 
 
-def delta_pulse_fixed_point(
-    flip: float | np.ndarray, params: RelaxationPair
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def delta_pulse_fixed_point(flip: float, params: RelaxationPair) -> tuple[float, float, float]:
     """Directly solved steady state (S_y, S_z) and signal y_m of the delta-pulse cycle.
 
-    Elementwise in ``flip`` (NumPy scalars for a float). The cycle map is affine,
-    S -> D*R(flip)*S + d with D the detection decay and d the recovery
-    offset, so its fixed point is a 2x2 solve. y_m is Q, since a delta
-    pulse costs no time.
+    The cycle map is affine, S -> D*R(flip)*S + d with D the detection decay
+    and d the recovery offset, so its fixed point is a 2x2 solve. y_m is Q,
+    since a delta pulse costs no time.
     """
-    import numpy as np
-
     e2 = math.exp(-params.gamma_t2 * DETECTION_TIME)
     e1 = math.exp(-params.gamma_t1 * DETECTION_TIME)
-    c = np.cos(flip)
-    s = np.sin(flip)
+    c = math.cos(flip)
+    s = math.sin(flip)
     det = (1.0 - e2 * c) * (1.0 - e1 * c) + e1 * e2 * s * s
     sz = (1.0 - e1) * (1.0 - e2 * c) / det
     sy = e2 * s * sz / (1.0 - e2 * c)
@@ -285,21 +285,20 @@ def sweep_delta_pulse(params: RelaxationPair) -> SweepResult:
     """Brute-force rediscovery of the optimal flip angle.
 
     Evaluates the steady-state signal on a 2000-point grid of flip angles
-    in (0, pi), then refines the best cell by golden section.
+    in (0, pi), then refines the cell around the first best point by golden
+    section.
     """
-    import numpy as np
+    flips = _linspace(0.0, math.pi, 2002)[1:-1]
 
-    flips = np.linspace(0.0, math.pi, 2002)[1:-1]
-    _, _, q = delta_pulse_fixed_point(flips, params)
-    i = int(np.argmax(q))
+    def q_of(flip: float) -> float:
+        return delta_pulse_fixed_point(flip, params)[2]
+
+    q = [q_of(flip) for flip in flips]
+    i = q.index(max(q))
     lo = flips[i - 1] if i > 0 else 0.0
     hi = flips[i + 1] if i < len(flips) - 1 else math.pi
-
-    def q_scalar(flip: float) -> float:
-        return float(delta_pulse_fixed_point(np.array([flip]), params)[2][0])
-
-    best = _golden_max(q_scalar, lo, hi, 1e-12)
-    return SweepResult(best, q_scalar(best))
+    best = _golden_max(q_of, lo, hi, 1e-12)
+    return SweepResult(best, q_of(best))
 
 
 def simulate_structure(
@@ -359,13 +358,11 @@ def rk4_time_magic(y1: float, y2: float, params: RelaxationPair) -> float:
     return _magic_arc(y1, plane.z0, y2, params)[0]
 
 
-def sample_measurement_points(rng: np.random.Generator, n: int) -> list[BlochState]:
-    """n points drawn uniformly (by area) from the half-disk of radius 0.999."""
-    import numpy as np
-
-    r = 0.999 * np.sqrt(rng.uniform(size=n))
-    phi = rng.uniform(-0.5 * math.pi, 0.5 * math.pi, size=n)
-    return [BlochState(float(ri * math.cos(p)), float(ri * math.sin(p))) for ri, p in zip(r, phi)]
+def sample_measurement_points(rng: random.Random, n: int) -> list[BlochState]:
+    """n points drawn uniformly (by area) from the half-disk of radius 0.999, radii first."""
+    r = [0.999 * math.sqrt(rng.random()) for _ in range(n)]
+    phi = [rng.uniform(-0.5 * math.pi, 0.5 * math.pi) for _ in range(n)]
+    return [BlochState(ri * math.cos(p), ri * math.sin(p)) for ri, p in zip(r, phi)]
 
 
 def verify_q_surface(
@@ -375,13 +372,10 @@ def verify_q_surface(
     seed: int = 0,
 ) -> float:
     """Worst |Q_analytic - Q_simulated| over random M points."""
-    import numpy as np
-
     if n_samples < 1:
         raise DomainError(f"n_samples must be >= 1, got {n_samples}")
-    rng = np.random.default_rng(seed)
     worst = 0.0
-    for m in sample_measurement_points(rng, n_samples):
+    for m in sample_measurement_points(random.Random(seed), n_samples):
         t_sim, _ = simulate_structure(m, params, bang_amplitude)
         q_sim = m.y / math.sqrt(1.0 + t_sim)
         q_ana = q_value(m, params).q
@@ -397,8 +391,14 @@ class VerificationCheck(NamedTuple):
 
 
 class VerificationReport(NamedTuple):
+    """The checks of one rate pair, with the inputs that produced them."""
+
     params: RelaxationPair
     seed: int
+    n_transfers: int
+    n_structure: int
+    n_qsurface: int
+    bang_amplitude: float
     checks: tuple[VerificationCheck, ...]
 
     @property
@@ -409,16 +409,12 @@ class VerificationReport(NamedTuple):
         return {
             "params": {"Gamma": self.params.gamma_t2, "gamma": self.params.gamma_t1},
             "seed": self.seed,
+            "n_transfers": self.n_transfers,
+            "n_structure": self.n_structure,
+            "n_qsurface": self.n_qsurface,
+            "bang_amplitude": self.bang_amplitude,
             "passed": self.passed,
-            "checks": [
-                {
-                    "name": c.name,
-                    "tolerance": c.tolerance,
-                    "measured": c.measured,
-                    "passed": c.passed,
-                }
-                for c in self.checks
-            ],
+            "checks": [c._asdict() for c in self.checks],
         }
 
 
@@ -428,14 +424,12 @@ def run_verification(
     n_transfers: int = 100,
     n_structure: int = 200,
     n_qsurface: int = 200,
-    bang_amplitude: float = 1e4,
+    bang_amplitude: float = 1e6,
 ) -> VerificationReport:
     """Full oracle suite against the closed-form layer for one rate pair.
 
     Inputs are checked before any check runs; a count of 0 would pass unmeasured.
     """
-    import numpy as np
-
     if seed < 0:
         raise DomainError(f"seed must be >= 0, got {seed}")
     for name, count in (("n_transfers", n_transfers), ("n_structure", n_structure),
@@ -444,7 +438,7 @@ def run_verification(
             raise DomainError(f"{name} must be >= 1, got {count}")
     if not 0.0 < bang_amplitude < math.inf:
         raise DomainError(f"bang_amplitude must be positive and finite, got {bang_amplitude}")
-    rng = np.random.default_rng(seed)
+    rng = random.Random(seed)
     checks: list[VerificationCheck] = []
 
     def add(name: str, tolerance: float, measured: float) -> None:
@@ -469,9 +463,10 @@ def run_verification(
         math.hypot(fp.m.y - sol.m.y, fp.m.z - sol.m.z),
     )
     worst_affine = 0.0
-    for flip in rng.uniform(0.1, math.pi - 0.1, size=8):
-        sy, sz, _ = delta_pulse_fixed_point(float(flip), params)
-        s_iter = cycle_fixed_point(float(flip), params).s
+    for _ in range(8):
+        flip = rng.uniform(0.1, math.pi - 0.1)
+        sy, sz, _ = delta_pulse_fixed_point(flip, params)
+        s_iter = cycle_fixed_point(flip, params).s
         worst_affine = max(worst_affine, math.hypot(sy - s_iter.y, sz - s_iter.z))
     add("affine-vs-iterated-fixed-point", 1e-12, worst_affine)
 
@@ -481,8 +476,8 @@ def run_verification(
 
     worst_axis = 0.0
     for _ in range(n_transfers):
-        z1 = float(rng.uniform(-0.95, 0.9))
-        z2 = float(rng.uniform(z1, 0.95))
+        z1 = rng.uniform(-0.95, 0.9)
+        z2 = rng.uniform(z1, 0.95)
         analytic = time_vertical(z1, z2, params)
         worst_axis = max(worst_axis, abs(rk4_time_vertical(z1, z2, params) - analytic))
     add("axis-time-vs-rk4", 1e-6, worst_axis)
@@ -493,8 +488,8 @@ def run_verification(
         y_max = math.sqrt(max(0.0, 1.0 - plane.z0 * plane.z0)) * 0.98
         for _ in range(n_transfers):
             # the plane barely enters the ball just above Gamma = 1.5*gamma, where y_max < 0.05
-            y1 = float(rng.uniform(min(0.05, 0.5 * y_max), y_max))
-            y2 = float(rng.uniform(0.0, y1))
+            y1 = rng.uniform(min(0.05, 0.5 * y_max), y_max)
+            y2 = rng.uniform(0.0, y1)
             worst_magic = max(
                 worst_magic,
                 abs(rk4_time_magic(y1, y2, params) - time_magic(y1, y2, params)),
@@ -527,12 +522,13 @@ def run_verification(
     )
     add("global-max-q-vs-closed-form", 1e-8, abs(q_best - sol.q))
 
-    return VerificationReport(params, seed, tuple(checks))
+    return VerificationReport(params, seed, n_transfers, n_structure, n_qsurface, bang_amplitude,
+                              tuple(checks))
 
 
 def boundary_q_jump(params: RelaxationPair) -> float:
     """Largest |Q(+) - Q(-)| across the boundary curves, ``_JUMP_OFFSET`` along the normal."""
-    curves = boundary_curves(params, _JUMP_POINTS + 2)
+    curves = _boundary_points(params, _JUMP_POINTS + 2)
     e2 = math.exp(-2.0 * params.gamma_t2 * DETECTION_TIME)
     e1 = math.exp(-params.gamma_t1 * DETECTION_TIME)
     worst = 0.0

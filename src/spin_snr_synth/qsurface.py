@@ -31,6 +31,7 @@ from .synthesis import (
     ControlStructure,
     _checked_relax,
     _first_match,
+    _linspace,
     _select,
     magic_plane,
 )
@@ -222,23 +223,6 @@ class Segment(NamedTuple):
         ys = _linspace(self.start.y, self.end.y, n)
         zs = _linspace(self.start.z, self.end.z, n)
         return [[y, z] for y, z in zip(ys, zs)]
-
-
-def _linspace(a: float, b: float, n: int) -> list[float]:
-    """``np.linspace(a, b, n).tolist()``, with the same arithmetic in the same order."""
-    if n < 0:
-        raise DomainError(f"number of samples must be >= 0, got {n}")
-    div = n - 1
-    delta = b - a
-    if div <= 0:
-        return [i * delta + a for i in range(n)]
-    step = delta / div
-    if step == 0.0:  # delta/div underflowed; numpy scales by delta after dividing
-        pts = [i / div * delta + a for i in range(n)]
-    else:
-        pts = [i * step + a for i in range(n)]
-    pts[-1] = b
-    return pts
 
 
 class Trajectory(NamedTuple):

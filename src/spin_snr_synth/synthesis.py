@@ -204,9 +204,10 @@ def ellipsoid_y(z: float, params: RelaxationPair, tol: float = 1e-12) -> float |
 class BoundaryCurves(NamedTuple):
     """Sampled boundary curves between structure regions, in M-space.
 
-    Arrays have shape (k, 2) with columns (y, z). ``magic_radius_circle``
-    (r_m = |z0|) and ``magic_radius_preimage`` (r_s = |z0|) are empty when
-    the magic plane does not meet the ball.
+    Each curve is a sequence of (y, z) points: a list of pairs from
+    :func:`_boundary_points`, a (k, 2) array from :func:`boundary_curves`.
+    ``magic_radius_circle`` (r_m = |z0|) and ``magic_radius_preimage``
+    (r_s = |z0|) are empty when the magic plane does not meet the ball.
     """
 
     ernst_ellipsoid: np.ndarray
@@ -219,34 +220,58 @@ def _ellipsoid_z_bottom(params: RelaxationPair) -> float:
     return -math.tanh(0.5 * params.gamma_t1 * DETECTION_TIME)
 
 
-def boundary_curves(params: RelaxationPair, n: int) -> BoundaryCurves:
-    """Sample the three boundary curves with about n points each."""
-    import numpy as np
+def _linspace(a: float, b: float, n: int) -> list[float]:
+    """``np.linspace(a, b, n).tolist()``, with the same arithmetic in the same order."""
+    if n < 0:
+        raise DomainError(f"number of samples must be >= 0, got {n}")
+    div = n - 1
+    delta = b - a
+    if div <= 0:
+        return [i * delta + a for i in range(n)]
+    step = delta / div
+    if step == 0.0:  # delta/div underflowed; numpy scales by delta after dividing
+        pts = [i / div * delta + a for i in range(n)]
+    else:
+        pts = [i * step + a for i in range(n)]
+    pts[-1] = b
+    return pts
 
+
+def _boundary_points(params: RelaxationPair, n: int) -> BoundaryCurves:
+    """The three boundary curves with about n points each, as lists of (y, z) pairs.
+
+    Computed on :mod:`math` alone. The preimage curve is not clipped to the
+    rim, so a point refined onto it may lie a rounding step outside.
+    """
     if n < 2:
         raise DomainError(f"n must be >= 2, got {n}")
-    big_g = params.gamma_t2
-    small_g = params.gamma_t1
-
-    z_vals = np.linspace(_ellipsoid_z_bottom(params), 1.0, n)
-    pts = []
-    for z in z_vals:
-        y = ellipsoid_y(float(z), params)
+    ellipsoid = []
+    for z in _linspace(_ellipsoid_z_bottom(params), 1.0, n):
+        y = ellipsoid_y(z, params)
         if y is not None:
-            pts.append((y, float(z)))
-    ellipsoid = np.array(pts, dtype=float).reshape(-1, 2)
-
+            ellipsoid.append((y, z))
     plane = magic_plane(params)
     if not plane.present:
-        empty = np.empty((0, 2), dtype=float)
-        return BoundaryCurves(ellipsoid, empty, empty.copy())
-
+        return BoundaryCurves(ellipsoid, [], [])
     za = plane.radius
-    phi = np.linspace(-0.5 * math.pi, 0.5 * math.pi, n)
-    circle = np.column_stack((za * np.cos(phi), za * np.sin(phi)))
-
-    preimage = _sample_preimage_curve(za, big_g, small_g, n)
+    circle = [(za * math.cos(phi), za * math.sin(phi))
+              for phi in _linspace(-0.5 * math.pi, 0.5 * math.pi, n)]
+    preimage = _sample_preimage_curve(za, params.gamma_t2, params.gamma_t1, n)
     return BoundaryCurves(ellipsoid, circle, preimage)
+
+
+def boundary_curves(params: RelaxationPair, n: int) -> BoundaryCurves:
+    """:func:`_boundary_points` as (k, 2) arrays, the preimage curve clipped to the rim."""
+    import numpy as np
+
+    curves = [np.array(c, dtype=float).reshape(-1, 2) for c in _boundary_points(params, n)]
+    # Clip roundoff overshoot at the refined entry points of the preimage curve.
+    preimage = curves[-1]
+    radii = np.hypot(preimage[:, 0], preimage[:, 1])
+    bad = radii > 1.0
+    if bad.any():
+        preimage[bad] *= (1.0 / radii[bad])[:, None]
+    return BoundaryCurves(*curves)
 
 
 def _preimage_point(phi: float, za: float, big_g: float, small_g: float) -> tuple[float, float]:
@@ -256,14 +281,13 @@ def _preimage_point(phi: float, za: float, big_g: float, small_g: float) -> tupl
     return y, z
 
 
-def _sample_preimage_curve(za: float, big_g: float, small_g: float, n: int) -> np.ndarray:
+def _sample_preimage_curve(za: float, big_g: float, small_g: float, n: int) -> list[tuple[float, float]]:
     """M points with |relax(M, 1)| = za, restricted to the closed unit disk.
 
     The squared preimage radius is concave in sin(phi), so the inside set
     is at most two arcs of the phi interval; each boundary is refined by
     bisection before uniform resampling.
     """
-    import numpy as np
 
     def excess(phi: float) -> float:
         try:
@@ -273,11 +297,8 @@ def _sample_preimage_curve(za: float, big_g: float, small_g: float, n: int) -> n
         return y * y + z * z - 1.0
 
     n_scan = max(4 * n, 512)
-    phis = np.linspace(-0.5 * math.pi, 0.5 * math.pi, n_scan)
-    vals = np.array([excess(p) for p in phis])
-    inside = vals <= 0.0
-    if not inside.any():
-        return np.empty((0, 2), dtype=float)
+    phis = _linspace(-0.5 * math.pi, 0.5 * math.pi, n_scan)
+    inside = [excess(p) <= 0.0 for p in phis]
 
     def refine(lo: float, hi: float) -> float:
         # excess changes sign on [lo, hi]
@@ -302,16 +323,5 @@ def _sample_preimage_curve(za: float, big_g: float, small_g: float, n: int) -> n
         intervals.append((start, phis[-1]))
 
     total = sum(b - a for a, b in intervals)
-    pts = []
-    for a, b in intervals:
-        k = max(2, int(round(n * (b - a) / total)))
-        for phi in np.linspace(a, b, k):
-            y, z = _preimage_point(float(phi), za, big_g, small_g)
-            pts.append((y, z))
-    arr = np.array(pts, dtype=float).reshape(-1, 2)
-    # Clip roundoff overshoot at the refined entry points.
-    radii = np.hypot(arr[:, 0], arr[:, 1])
-    bad = radii > 1.0
-    if bad.any():
-        arr[bad] *= (1.0 / radii[bad])[:, None]
-    return arr
+    return [_preimage_point(phi, za, big_g, small_g) for a, b in intervals
+            for phi in _linspace(a, b, max(2, int(round(n * (b - a) / total))))]

@@ -21,6 +21,12 @@ def params_c():
     return RelaxationPair(1.69, 1.5)
 
 
+@pytest.fixture(scope="session")
+def params_rim():
+    # the Ernst point lies 4.5e-5 inside the rim, closer than a lattice cell
+    return RelaxationPair(50.0, 10.0)
+
+
 @st.composite
 def rate_pairs(draw):
     """Admissible (Gamma, gamma) pairs: 2*Gamma >= gamma."""

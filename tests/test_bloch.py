@@ -103,7 +103,7 @@ RECORD_BUILDERS = {
     oracle.CycleFixedPoint: lambda: cycle_fixed_point(1.0, _PARAMS),
     oracle.SweepResult: lambda: sweep_delta_pulse(_PARAMS),
     VerificationCheck: lambda: _CHECK,
-    VerificationReport: lambda: VerificationReport(_PARAMS, 1, (_CHECK,)),
+    VerificationReport: lambda: VerificationReport(_PARAMS, 1, 5, 10, 10, 1e6, (_CHECK,)),
 }
 
 

@@ -313,7 +313,7 @@ def test_query_commands_leave_numpy_unloaded(tmp_path):
     argv = ["verify", *_rates("B"), "--n-transfers", "2", "--n-structure", "2", "--n-qsurface", "2"]
     codes, loaded = json.loads(_run_python(_MAIN_LOOP, json.dumps([argv])))
     assert codes == [0]
-    assert "spin_snr_synth.oracle" in loaded
+    assert "spin_snr_synth.oracle" in loaded and "numpy" not in loaded
 
 
 def test_package_resolves_oracle_names_on_demand():
@@ -378,6 +378,18 @@ class TestParseNumber:
 class TestExitCodes:
     def test_success(self, capsys):
         assert cli.main(["ernst", *_rates("B")]) == 0
+
+    def test_verify_report_records_its_inputs(self, capsys):
+        argv = ["verify", *_rates("C"), "--seed", "7", "--n-transfers", "2", "--n-structure", "3",
+                "--n-qsurface", "4", "--amplitude", "1e5", "--format", "json"]
+        assert cli.main(argv) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert {k: report[k] for k in ("seed", "n_transfers", "n_structure", "n_qsurface",
+                                       "bang_amplitude")} == {
+            "seed": 7, "n_transfers": 2, "n_structure": 3, "n_qsurface": 4, "bang_amplitude": 1e5}
+        assert cli.main(argv[:5] + ["--format", "json"]) == 0
+        defaults = json.loads(capsys.readouterr().out)
+        assert (defaults["n_transfers"], defaults["bang_amplitude"]) == (100, 1e6)
 
     def test_verification_failure(self, monkeypatch, capsys):
         bias_q_value(monkeypatch, 1e-2)

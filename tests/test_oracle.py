@@ -1,7 +1,9 @@
 """The integration oracle: travel times, structure simulation, the verify suite."""
 
 import json
+import math
 
+import numpy as np
 import pytest
 
 from spin_snr_synth import (
@@ -15,6 +17,7 @@ from spin_snr_synth import (
     rk4_time_vertical,
     run_verification,
     simulate_structure,
+    sweep_delta_pulse,
     time_magic,
     time_vertical,
 )
@@ -102,6 +105,32 @@ def test_simulation_uses_no_closed_form_time(monkeypatch):
     assert err < 1e-3
     assert rk4_time_magic(0.5, 0.0, params) > 0.0
     assert rk4_time_vertical(-0.5, 0.5, params) > 0.0
+
+
+def _vectorised_delta_pulse_q(flip, params):
+    """Steady-state signal of the delta-pulse cycle, elementwise in a flip array."""
+    e2 = math.exp(-params.gamma_t2)
+    e1 = math.exp(-params.gamma_t1)
+    c, s = np.cos(flip), np.sin(flip)
+    det = (1.0 - e2 * c) * (1.0 - e1 * c) + e1 * e2 * s * s
+    sz = (1.0 - e1) * (1.0 - e2 * c) / det
+    sy = e2 * s * sz / (1.0 - e2 * c)
+    return c * sy + s * sz
+
+
+@pytest.mark.parametrize("tag", sorted(REGIMES))
+def test_sweep_keeps_the_vectorised_bits(tag):
+    # the sweep on math lands on the same bits as the numpy sweep it replaced
+    params = _params(tag)
+    flips = np.linspace(0.0, math.pi, 2002)[1:-1]
+    i = int(np.argmax(_vectorised_delta_pulse_q(flips, params)))
+
+    def q_scalar(flip):
+        return float(_vectorised_delta_pulse_q(np.array([flip]), params)[0])
+
+    best = oracle._golden_max(q_scalar, flips[i - 1], flips[i + 1], 1e-12)
+    got = sweep_delta_pulse(params)
+    assert (got.best_flip.hex(), got.best_q.hex()) == (best.hex(), q_scalar(best).hex())
 
 
 @pytest.mark.parametrize("tag", sorted(REGIMES))

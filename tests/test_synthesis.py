@@ -22,7 +22,7 @@ from spin_snr_synth import (
     regime_boundaries,
     relax,
 )
-from spin_snr_synth.synthesis import STRUCTURE_DECISIONS, _first_match, _select
+from spin_snr_synth.synthesis import STRUCTURE_DECISIONS, _boundary_points, _first_match, _select
 from conftest import disk_states, rate_pairs, relax_inverse
 
 ERNST_POINT_B = BlochState(0.6892739804246589, 0.2689414213699951)
@@ -351,6 +351,22 @@ class TestBoundaryCurves:
     def test_minimum_sampling(self, params_b):
         with pytest.raises(DomainError):
             boundary_curves(params_b, 1)
+
+    @pytest.mark.parametrize("rates", [(3.0, 0.5), (1.8, 1.0), (1.5000001, 1.0), (50.0, 10.0),
+                                       (0.85, 0.53)], ids=str)
+    def test_math_sampler_equals_arrays(self, rates):
+        # the oracle reads the lists, qsurface the arrays; only the rim clip of the
+        # preimage curve tells them apart, and it fires at one point of (0.85, 0.53)
+        params = RelaxationPair(*rates)
+        points, arrays = _boundary_points(params, 256), boundary_curves(params, 256)
+        assert arrays.ernst_ellipsoid.tolist() == [list(p) for p in points.ernst_ellipsoid]
+        assert arrays.magic_radius_circle.tolist() == [list(p) for p in points.magic_radius_circle]
+        assert len(arrays.magic_radius_preimage) == len(points.magic_radius_preimage)
+        for (y, z), row in zip(points.magic_radius_preimage, arrays.magic_radius_preimage.tolist()):
+            if np.hypot(y, z) > 1.0:
+                assert np.hypot(*row) <= 1.0
+            else:
+                assert row == [y, z]
 
     @given(rate_pairs())
     @settings(max_examples=30, deadline=None)
