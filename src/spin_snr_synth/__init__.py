@@ -48,6 +48,7 @@ from .qsurface import (
     Segment,
     Trajectory,
     build_trajectory,
+    classify,
     control_time,
     q_grid_arrays,
     q_value,
@@ -61,7 +62,6 @@ from .synthesis import (
     MagicPlane,
     SynthesisRegime,
     boundary_curves,
-    classify,
     ellipsoid_y,
     ernst_ellipsoid_residual,
     magic_plane,

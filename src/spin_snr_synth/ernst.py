@@ -25,7 +25,7 @@ from typing import NamedTuple
 
 from .bloch import DETECTION_TIME, BlochState, RelaxationPair, relax
 from .errors import BracketingError, DomainError
-from .qsurface import q_value
+from .qsurface import _q, _rates
 from .synthesis import (REGIME_DECISIONS, SynthesisRegime, _in_half_disk, _linspace, _select,
                         ellipsoid_y, regime_boundaries)
 
@@ -118,8 +118,8 @@ def maximize_on_ellipsoid(params: RelaxationPair) -> ErnstSolution:
     return ErnstSolution(m, s, m.y, s.theta - m.theta)
 
 
-def _nelder_mead(f, sim: list[list[float]]) -> tuple[list[float], float]:
-    """Minimize f from the 3-vertex simplex ``sim`` of [y, z] lists; returns (argmin, min).
+def _nelder_mead(f, sim: list[tuple[float, float]]) -> tuple[tuple[float, float], float]:
+    """Minimize f(y, z) from the simplex ``sim`` of three (y, z) tuples; returns (argmin, min).
 
     Non-adaptive Nelder-Mead (Lagarias et al., SIAM J. Optim. 9, 112, 1998):
     reflection 1, expansion 2, contraction and shrink 1/2. The arithmetic of
@@ -133,39 +133,41 @@ def _nelder_mead(f, sim: list[list[float]]) -> tuple[list[float], float]:
         return [sim[i] for i in order], [fsim[i] for i in order]
 
     def towards(a, b, wa, wb):
-        return [wa * a[0] + wb * b[0], wa * a[1] + wb * b[1]]
+        return wa * a[0] + wb * b[0], wa * a[1] + wb * b[1]
 
-    sim, fsim = sort(sim, [f(x) for x in sim])
+    sim, fsim = sort(sim, [f(*x) for x in sim])
     # the 60 passes at the 12 pinned rate pairs take <= ~300 iterations; three
     # starts at (50, 10), whose maximum sits at the rim, stop at 500, counted from 1
     for _ in range(1, 500):
-        if (all(abs(x[k] - sim[0][k]) <= 1e-12 for x in sim[1:] for k in (0, 1))
-                and all(abs(fsim[0] - fx) <= 1e-14 for fx in fsim[1:])):
+        (y0, z0), (y1, z1), (y2, z2) = sim
+        if (abs(y1 - y0) <= 1e-12 and abs(z1 - z0) <= 1e-12
+                and abs(y2 - y0) <= 1e-12 and abs(z2 - z0) <= 1e-12
+                and abs(fsim[0] - fsim[1]) <= 1e-14 and abs(fsim[0] - fsim[2]) <= 1e-14):
             break
-        xbar = [(sim[0][0] + sim[1][0]) / 2, (sim[0][1] + sim[1][1]) / 2]
-        xr = towards(xbar, sim[-1], 2, -1)
-        fxr = f(xr)
+        xbar = ((y0 + y1) / 2, (z0 + z1) / 2)
+        xr = towards(xbar, sim[2], 2, -1)
+        fxr = f(*xr)
         if fxr < fsim[0]:
-            xe = towards(xbar, sim[-1], 3, -2)
-            fxe = f(xe)
-            sim[-1], fsim[-1] = (xe, fxe) if fxe < fxr else (xr, fxr)
-        elif fxr < fsim[-2]:
-            sim[-1], fsim[-1] = xr, fxr
+            xe = towards(xbar, sim[2], 3, -2)
+            fxe = f(*xe)
+            sim[2], fsim[2] = (xe, fxe) if fxe < fxr else (xr, fxr)
+        elif fxr < fsim[1]:
+            sim[2], fsim[2] = xr, fxr
         else:
-            if fxr < fsim[-1]:  # outside contraction
-                xc = towards(xbar, sim[-1], 1.5, -0.5)
-                fxc = f(xc)
+            if fxr < fsim[2]:  # outside contraction
+                xc = towards(xbar, sim[2], 1.5, -0.5)
+                fxc = f(*xc)
                 accept = fxc <= fxr
             else:  # inside contraction
-                xc = towards(xbar, sim[-1], 0.5, 0.5)
-                fxc = f(xc)
-                accept = fxc < fsim[-1]
+                xc = towards(xbar, sim[2], 0.5, 0.5)
+                fxc = f(*xc)
+                accept = fxc < fsim[2]
             if accept:
-                sim[-1], fsim[-1] = xc, fxc
+                sim[2], fsim[2] = xc, fxc
             else:  # shrink toward the best vertex
                 for j in (1, 2):
-                    sim[j] = [sim[0][k] + 0.5 * (sim[j][k] - sim[0][k]) for k in (0, 1)]
-                    fsim[j] = f(sim[j])
+                    sim[j] = (y0 + 0.5 * (sim[j][0] - y0), z0 + 0.5 * (sim[j][1] - z0))
+                    fsim[j] = f(*sim[j])
         sim, fsim = sort(sim, fsim)
     return sim[0], fsim[0]
 
@@ -178,21 +180,20 @@ def maximize_q_global(params: RelaxationPair) -> tuple[BlochState, float]:
     of 2/``_COARSE_N``, refines them. Nelder-Mead needs no gradient, and Q
     is continuous but not smooth on the ridge where the maximum sits.
     """
+    k = _rates(params)
 
-    def neg_q(x: list[float]) -> float:
-        if not _in_half_disk(x[0], x[1]):
-            return math.inf
-        return -q_value(BlochState(x[0], x[1]), params).q
+    def neg_q(y: float, z: float) -> float:
+        return -_q(y, z, k)[2] if _in_half_disk(y, z) else math.inf
 
     cells = [(y, z) for y in _linspace(0.0, 1.0, _COARSE_N) if y > 0.0
              for z in _linspace(-1.0, 1.0, _COARSE_N) if _in_half_disk(y, z)]
-    q = [q_value(BlochState(y, z), params).q for y, z in cells]
+    q = [_q(y, z, k)[2] for y, z in cells]
     h = 2.0 / _COARSE_N
     best_x = None
     best_val = math.inf
     for i in sorted(range(len(q)), key=q.__getitem__)[-5:]:
         y, z = cells[i]
-        x, val = _nelder_mead(neg_q, [[y, z], [y + h, z], [y, z + h]])
+        x, val = _nelder_mead(neg_q, [(y, z), (y + h, z), (y, z + h)])
         if val < best_val:
             best_x, best_val = x, val
     return BlochState(*best_x), -best_val

@@ -3,31 +3,29 @@
 Nothing in this module trusts the analytic travel times or the Ernst
 formulas: steady states are found by iterating the physical cycle map,
 optimal flips by brute-force sweeps, and control durations by running the
-actual control fields until the state reaches its planned target. Every
-constant field (a finite-amplitude bang, u = 0 on the free axis arcs)
-makes the Bloch equation affine and is propagated by its exact 2x2 flow.
-Only the 1/y feedback on the magic plane is integrated, by Dormand-Prince
-5(4) with an embedded-error step controller (Dormand & Prince, J. Comput.
-Appl. Math. 6, 19, 1980; Hairer, Norsett & Wanner, Solving ODEs I, sec.
-II.4): each accepted step has an estimated local error of at most
-``_LOCAL_TOL``. The closed-form layer is accepted only because these
-checks reproduce it.
+actual control fields until the state reaches its planned target. Nothing
+is integrated. Every constant field (a finite-amplitude bang, u = 0 on the
+free axis arcs) makes the Bloch equation affine and is propagated by its
+exact 2x2 flow, and the 1/y feedback on the magic plane makes z and
+w = y^2 linear and is propagated by their exact flow. Each arc's stop is
+found by bisecting time on its flow, never by inverting a travel-time
+formula. The closed-form layer is accepted only because these checks
+reproduce it.
 
 The module runs on :mod:`math` alone. Its random inputs come from
 :class:`random.Random` (seed, and seed + 1 for the Q-surface points), each
 uniform drawn as a + (b - a)*U, so a seed names the same draws everywhere.
 
-The ``rk4_`` names predate Dormand-Prince and the exact axis flow. They
-stay because the verify check names (``axis-time-vs-rk4``,
-``magic-time-vs-rk4``) and the benchmark's span and counter names are
-built from them.
+The ``rk4_`` names predate the exact flows. They stay because the verify
+check names (``axis-time-vs-rk4``, ``magic-time-vs-rk4``) and the
+benchmark's span and counter names are built from them.
 """
 
 from __future__ import annotations
 
 import math
 import random
-from typing import Callable, NamedTuple
+from typing import NamedTuple
 
 from .bloch import (
     DETECTION_TIME,
@@ -39,14 +37,8 @@ from .bloch import (
 )
 from .ernst import _golden_max, ernst_solution, maximize_on_ellipsoid, maximize_q_global
 from .errors import BracketingError, ConvergenceError, DomainError
-from .qsurface import build_trajectory, control_time, q_value, time_magic, time_vertical
+from .qsurface import _q, _rates, build_trajectory, control_time, q_value, time_magic, time_vertical
 from .synthesis import _boundary_points, _in_half_disk, _linspace, magic_plane
-
-#: Largest accepted local error estimate per step (absolute, in y and z).
-_LOCAL_TOL = 1e-13
-
-#: Magic-plane integration floor; the last sliver is extrapolated.
-_Y_FLOOR = 1e-8
 
 #: Residual at which the iterated cycle map counts as converged, and the
 #: iteration cap (the map contracts geometrically, so the cap only guards).
@@ -66,57 +58,6 @@ class CycleFixedPoint(NamedTuple):
     m: BlochState
     iterations: int
     residual: float
-
-
-def _rk4_u_step(
-    y: float,
-    z: float,
-    h: float,
-    u_fn: Callable[[float, float], float],
-    big_g: float,
-    small_g: float,
-) -> tuple[float, float, float]:
-    """One Dormand-Prince 5(4) step of the state-feedback equation of motion.
-
-    u is evaluated at every stage point. Returns the 5th-order state and
-    the max-norm of the embedded (5th minus 4th order) error estimate.
-    ``perfbench`` counts integration steps by wrapping this function.
-    """
-
-    def rhs(yy: float, zz: float) -> tuple[float, float]:
-        u = u_fn(yy, zz)
-        return -big_g * yy - u * zz, small_g * (1.0 - zz) + u * yy
-
-    k1y, k1z = rhs(y, z)
-    k2y, k2z = rhs(y + h * (1 / 5) * k1y, z + h * (1 / 5) * k1z)
-    k3y, k3z = rhs(
-        y + h * (3 / 40 * k1y + 9 / 40 * k2y),
-        z + h * (3 / 40 * k1z + 9 / 40 * k2z),
-    )
-    k4y, k4z = rhs(
-        y + h * (44 / 45 * k1y - 56 / 15 * k2y + 32 / 9 * k3y),
-        z + h * (44 / 45 * k1z - 56 / 15 * k2z + 32 / 9 * k3z),
-    )
-    k5y, k5z = rhs(
-        y + h * (19372 / 6561 * k1y - 25360 / 2187 * k2y + 64448 / 6561 * k3y - 212 / 729 * k4y),
-        z + h * (19372 / 6561 * k1z - 25360 / 2187 * k2z + 64448 / 6561 * k3z - 212 / 729 * k4z),
-    )
-    k6y, k6z = rhs(
-        y + h * (9017 / 3168 * k1y - 355 / 33 * k2y + 46732 / 5247 * k3y
-                 + 49 / 176 * k4y - 5103 / 18656 * k5y),
-        z + h * (9017 / 3168 * k1z - 355 / 33 * k2z + 46732 / 5247 * k3z
-                 + 49 / 176 * k4z - 5103 / 18656 * k5z),
-    )
-    y5 = y + h * (35 / 384 * k1y + 500 / 1113 * k3y + 125 / 192 * k4y
-                  - 2187 / 6784 * k5y + 11 / 84 * k6y)
-    z5 = z + h * (35 / 384 * k1z + 500 / 1113 * k3z + 125 / 192 * k4z
-                  - 2187 / 6784 * k5z + 11 / 84 * k6z)
-    k7y, k7z = rhs(y5, z5)
-    err_y = h * (71 / 57600 * k1y - 71 / 16695 * k3y + 71 / 1920 * k4y
-                 - 17253 / 339200 * k5y + 22 / 525 * k6y - 1 / 40 * k7y)
-    err_z = h * (71 / 57600 * k1z - 71 / 16695 * k3z + 71 / 1920 * k4z
-                 - 17253 / 339200 * k5z + 22 / 525 * k6z - 1 / 40 * k7z)
-    return y5, z5, max(abs(err_y), abs(err_z))
 
 
 def _bang_flow(
@@ -155,31 +96,69 @@ def _bang_flow(
     )
 
 
+def _feedback_flow(
+    y: float, z: float, t: float, params: RelaxationPair
+) -> tuple[float, float]:
+    """Exact state after time t under the magic-plane feedback u = -c/y; returns (y, z).
+
+    With c = gamma*(1 - z0) the feedback holds the plane z = z0: the Bloch
+    equation gives z' = gamma*(z0 - z) and (y^2)' = -2*Gamma*y^2 + 2*c*z, both
+    linear, so z(t) = z0 + (z_a - z0)e^(-gamma*t) and w = y^2 is
+
+        w(t) = w_a*e^(-2*Gamma*t) + (c*z0/Gamma)(1 - e^(-2*Gamma*t))
+               + 2c(z_a - z0)(e^(-gamma*t) - e^(-2*Gamma*t))/(2*Gamma - gamma)
+
+    from any start (y_a, z_a) with y_a > 0, on the plane or off it. The plane
+    exists only for Gamma > 1.5*gamma, so 2*Gamma - gamma > 0. c*z0 < 0, so w
+    falls through 0 in finite time; y is 0 from there on, where the arc ends.
+    """
+    plane = magic_plane(params)
+    if not plane.present:
+        raise DomainError("magic feedback undefined: plane outside the unit ball")
+    big_g, small_g = params.gamma_t2, params.gamma_t1
+    z0 = plane.z0
+    c = small_g * (1.0 - z0)
+    e_small = math.exp(-small_g * t)
+    # e^(-gamma*t) - e^(-2*Gamma*t) = -e^(-gamma*t)*expm1(-(2*Gamma - gamma)*t)
+    w = (y * y * math.exp(-2.0 * big_g * t) - c * z0 / big_g * math.expm1(-2.0 * big_g * t)
+         - 2.0 * c * (z - z0) * e_small * math.expm1(-(2.0 * big_g - small_g) * t)
+         / (2.0 * big_g - small_g))
+    return math.sqrt(max(w, 0.0)), z0 + (z - z0) * e_small
+
+
+def _first_time(reached) -> float:
+    """The first float t > 0 at which ``reached(t)`` holds, once it holds for good.
+
+    The crossing is bracketed by doubling t from 1 and located by bisecting t
+    to float resolution, with no travel time assumed.
+    """
+    lo, hi = 0.0, 1.0
+    while not reached(hi):
+        lo, hi = hi, 2.0 * hi
+    mid = 0.5 * (lo + hi)
+    while lo < mid < hi:
+        if reached(mid):
+            hi = mid
+        else:
+            lo = mid
+        mid = 0.5 * (lo + hi)
+    return hi
+
+
 def _axis_arc(
     y: float, z: float, z_end: float, params: RelaxationPair
 ) -> tuple[float, float, float]:
     """Free (u = 0) travel from (y, z) until z reaches z_end; returns (t, y, z).
 
-    The field is constant, so the state at any t is the exact flow. The
-    crossing is bracketed by doubling t from 1 and located by bisecting t to
-    float resolution: the returned t is the first float at which the flow's
-    z reaches z_end, with no travel time assumed.
+    The field is constant, so the state at any t is the exact flow
+    (:func:`_bang_flow`); t is the first float at which its z reaches z_end.
     """
     if z >= z_end:
         return 0.0, y, z
     if z_end >= 1.0:
         raise BracketingError(f"free evolution relaxes z toward 1 and never reaches {z_end}")
-    lo, hi = 0.0, 1.0
-    while _bang_flow(y, z, 0.0, hi, params)[1] < z_end:
-        lo, hi = hi, 2.0 * hi
-    mid = 0.5 * (lo + hi)
-    while lo < mid < hi:
-        if _bang_flow(y, z, 0.0, mid, params)[1] < z_end:
-            lo = mid
-        else:
-            hi = mid
-        mid = 0.5 * (lo + hi)
-    return (hi, *_bang_flow(y, z, 0.0, hi, params))
+    t = _first_time(lambda t: _bang_flow(y, z, 0.0, t, params)[1] >= z_end)
+    return (t, *_bang_flow(y, z, 0.0, t, params))
 
 
 def _magic_arc(
@@ -187,55 +166,13 @@ def _magic_arc(
 ) -> tuple[float, float, float]:
     """Feedback travel on the magic plane from (y, z) down to y_end; returns (t, y, z).
 
-    The 1/y feedback is this module's only field that is not constant, and
-    so the only one integrated. h shrinks by 0.9*(tol/err)^(1/5), within
-    [0.2, 5], until a step's error estimate passes ``_LOCAL_TOL``, and is
-    capped to a ~5% change of y. The step that crosses the stop is bisected
-    in length, re-run per probe, so the stop time keeps the step's accuracy.
-    The feedback is singular on the axis, so the integration stops at
-    ``_Y_FLOOR`` and the last sliver's time is extrapolated from the local
-    slope of w = y^2, read off the integrated state, not the closed form.
+    The state at any t is the exact flow (:func:`_feedback_flow`); t is the
+    first float at which its y reaches y_end.
     """
-    plane = magic_plane(params)
-    if not plane.present:
-        raise DomainError("magic feedback undefined: plane outside the unit ball")
-    big_g, small_g = params.gamma_t2, params.gamma_t1
-    c = small_g * (1.0 - plane.z0)
-    u_fn = lambda yy, zz: -c / yy
-    y_stop = max(y_end, _Y_FLOOR)
-    t_max = 10.0 + 10.0 / big_g
-    t, h = 0.0, t_max
-    while y > y_stop:
-        if t >= t_max:
-            raise BracketingError(f"y_end not reached within t_max={t_max}")
-        h = min(h, t_max - t)
-        dy = abs(-big_g * y - u_fn(y, z) * z)
-        if dy:
-            h = min(h, 0.05 * abs(y) / dy)
-        while True:
-            y2, z2, err = _rk4_u_step(y, z, h, u_fn, big_g, small_g)
-            factor = 5.0 if err == 0.0 else min(5.0, max(0.2, 0.9 * (_LOCAL_TOL / err) ** 0.2))
-            if err <= _LOCAL_TOL:
-                break
-            h *= factor
-            if t + h == t:
-                raise ConvergenceError(f"step size underflow at t={t}", residual=err)
-        if y2 > y_stop:
-            y, z, t, h = y2, z2, t + h, h * factor
-            continue
-        lo, hi = 0.0, h
-        for _ in range(60):
-            mid = 0.5 * (lo + hi)
-            if _rk4_u_step(y, z, mid, u_fn, big_g, small_g)[0] <= y_stop:
-                hi = mid
-            else:
-                lo = mid
-        y, z, _ = _rk4_u_step(y, z, hi, u_fn, big_g, small_g)
-        t += hi
-    if y_end < y_stop:
-        w_rate = 2.0 * y * (-big_g * y - u_fn(y, z) * z)
-        t += (y * y - y_end * y_end) / abs(w_rate)
-    return t, y, z
+    if y <= y_end:
+        return 0.0, y, z
+    t = _first_time(lambda t: _feedback_flow(y, z, t, params)[0] <= y_end)
+    return (t, *_feedback_flow(y, z, t, params))
 
 
 def cycle_fixed_point(flip: float, params: RelaxationPair) -> CycleFixedPoint:
@@ -312,12 +249,12 @@ def simulate_structure(
     propagated by its exact flow (:func:`_bang_flow`) for the time that
     rotates by the planned angle at that amplitude. The free axis arcs
     (u = 0) run on the same exact flow until z reaches its planned target,
-    and the magic arcs integrate the 1/y feedback to theirs, exactly as
-    :func:`rk4_time_vertical` and :func:`rk4_time_magic` do. Only the planned
+    and the magic arcs run on the exact flow of the 1/y feedback until y
+    reaches theirs, exactly as :func:`rk4_time_vertical` and
+    :func:`rk4_time_magic` do. Nothing is integrated, and only the planned
     geometry is used, never a planned duration. Returns the realized control
     duration and the distance from the achieved endpoint to m. Both converge
-    as O(1/amplitude); the integration error, set by ``_LOCAL_TOL``, is
-    orders of magnitude below that at any practical amplitude.
+    as O(1/amplitude), the only error of the simulation beyond rounding.
     """
     if bang_amplitude <= 0.0:
         raise DomainError(f"bang_amplitude must be positive, got {bang_amplitude}")
@@ -341,20 +278,18 @@ def simulate_structure(
 
 def rk4_time_vertical(z1: float, z2: float, params: RelaxationPair) -> float:
     """Measured axis travel time: the exact free flow, bisected in time to z2."""
-    if z2 < z1 or z2 >= 1.0:
-        raise DomainError(f"need z1 <= z2 < 1, got ({z1}, {z2})")
+    if not (math.isfinite(z1) and z1 <= z2 < 1.0):
+        raise DomainError(f"need finite z1 <= z2 < 1, got ({z1}, {z2})")
     return _axis_arc(0.0, z1, z2, params)[0]
 
 
 def rk4_time_magic(y1: float, y2: float, params: RelaxationPair) -> float:
-    """Measured magic-plane travel time: the integrated 1/y feedback, stopped at y2."""
+    """Measured magic-plane travel time: the exact feedback flow, bisected in time to y2."""
     plane = magic_plane(params)
     if not plane.present:
         raise DomainError("magic plane does not intersect the unit ball for these rates")
-    if y2 < 0.0 or y1 < y2:
-        raise DomainError(f"need y1 >= y2 >= 0, got ({y1}, {y2})")
-    if y1 == y2:
-        return 0.0
+    if not (math.isfinite(y1) and y1 >= y2 >= 0.0):
+        raise DomainError(f"need finite y1 >= y2 >= 0, got ({y1}, {y2})")
     return _magic_arc(y1, plane.z0, y2, params)[0]
 
 
@@ -531,6 +466,7 @@ def boundary_q_jump(params: RelaxationPair) -> float:
     curves = _boundary_points(params, _JUMP_POINTS + 2)
     e2 = math.exp(-2.0 * params.gamma_t2 * DETECTION_TIME)
     e1 = math.exp(-params.gamma_t1 * DETECTION_TIME)
+    k = _rates(params)
     worst = 0.0
 
     def probe(y: float, z: float, ny: float, nz: float) -> float:
@@ -544,7 +480,7 @@ def boundary_q_jump(params: RelaxationPair) -> float:
             zz = z + sign * _JUMP_OFFSET * nz
             if not _in_half_disk(yy, zz):
                 return 0.0
-            pts.append(q_value(BlochState(yy, zz), params).q)
+            pts.append(_q(yy, zz, k)[2])
         return abs(pts[0] - pts[1])
 
     for y, z in curves.ernst_ellipsoid:

@@ -9,14 +9,18 @@ continuous but not smooth across the region boundaries; composing Tc
 from trajectory segments (rather than one formula per sheet) makes that
 continuity automatic.
 
-There are two paths. The scalar one plans each point once (``_plan``:
-structure, steady state and singular arcs with their travel times);
-:func:`control_time`, :func:`q_value` and :func:`build_trajectory` read
-that plan. The array one, :func:`q_lattice_arrays`, evaluates a whole
-lattice. Both take the structure from ``synthesis.STRUCTURE_DECISIONS``
-and keep a point only when r_m = hypot(y, z) < 1. The travel times stay
-in two forms, :mod:`math` and NumPy, which round ``hypot`` and ``log1p``
-differently; the golden CSVs pin both (lattice rows and boundary rows).
+There are two paths. The scalar one, ``_plan``, takes plain floats and the
+per-rate constants of ``_rates`` (computed once per rate pair) and returns
+the structure and Tc; :func:`classify`, :func:`control_time`,
+:func:`q_value` and :func:`build_trajectory` read it, and so do the
+searches of ``ernst`` and ``oracle``, which build no record per point. The
+array one, :func:`q_lattice_arrays`, evaluates a whole lattice. Both take
+the structure from ``synthesis.STRUCTURE_DECISIONS`` and keep a point only
+when r_m = hypot(y, z) < 1. The travel times stay in two forms, :mod:`math`
+and NumPy: ``math.hypot`` and ``np.hypot`` round differently, and NumPy's
+``log1p`` and ``log`` differ from libm's on hosts where NumPy dispatches
+them to AVX-512 loops. The golden CSVs pin both forms (lattice rows and
+boundary rows).
 """
 
 from __future__ import annotations
@@ -29,8 +33,9 @@ from .errors import DomainError
 from .synthesis import (
     STRUCTURE_DECISIONS,
     ControlStructure,
-    _checked_relax,
+    _detection_decays,
     _first_match,
+    _in_half_disk,
     _linspace,
     _select,
     magic_plane,
@@ -39,11 +44,15 @@ from .synthesis import (
 
 def time_vertical(z1: float, z2: float, params: RelaxationPair) -> float:
     """Free travel time along the z-axis from z1 up to z2 (z1 <= z2 < 1)."""
-    if z2 >= 1.0:
+    if not z2 < 1.0:
         raise DomainError(f"z2 must be < 1 (the pole is reached only asymptotically), got {z2}")
-    if z2 < z1:
-        raise DomainError(f"free axis motion is upward only, got z1={z1} > z2={z2}")
-    return (math.log1p(-z1) - math.log1p(-z2)) / params.gamma_t1
+    if not (math.isfinite(z1) and z1 <= z2):
+        raise DomainError(f"free axis motion is upward only, from a finite z1, got z1={z1}, z2={z2}")
+    return _axis_time(z1, z2, params.gamma_t1)
+
+
+def _axis_time(z1: float, z2: float, small_g: float) -> float:
+    return (math.log1p(-z1) - math.log1p(-z2)) / small_g
 
 
 def _w_inf(params: RelaxationPair, z0: float) -> float:
@@ -60,56 +69,95 @@ def time_magic(y1: float, y2: float, params: RelaxationPair) -> float:
     plane = magic_plane(params)
     if not plane.present:
         raise DomainError("magic plane does not intersect the unit ball for these rates")
-    if y2 < 0.0 or y1 < y2:
-        raise DomainError(f"magic-plane motion needs y1 >= y2 >= 0, got ({y1}, {y2})")
-    w_inf = _w_inf(params, plane.z0)
-    return math.log((y1 * y1 - w_inf) / (y2 * y2 - w_inf)) / (2.0 * params.gamma_t2)
+    if not (math.isfinite(y1) and y1 >= y2 >= 0.0):
+        raise DomainError(f"magic-plane motion needs finite y1 >= y2 >= 0, got ({y1}, {y2})")
+    return _magic_time(y1, y2, params.gamma_t2, _w_inf(params, plane.z0))
 
 
-#: One singular arc of a plan: (kind, y1, z1, y2, z2, duration), kind being
-#: "axis_arc" or "magic_arc".
-_Arc = tuple[str, float, float, float, float, float]
+def _magic_time(y1: float, y2: float, big_g: float, w_inf: float) -> float:
+    return math.log((y1 * y1 - w_inf) / (y2 * y2 - w_inf)) / (2.0 * big_g)
 
 
-def _plan(
-    m: BlochState, params: RelaxationPair
-) -> tuple[ControlStructure, BlochState, tuple[_Arc, ...]]:
-    """Structure, steady state S and the singular arcs from S to m, in travel order.
+def _plane_y(r: float, z0: float) -> float:
+    """The y >= 0 at which the circle of radius r meets the magic plane (0 if it does not)."""
+    return math.sqrt(max(0.0, r * r - z0 * z0))
 
-    A bang (instantaneous rotation) joins S to the first arc and the last
-    arc to m; with no arc (structure B) one bang joins S to m.
+
+class _Rates(NamedTuple):
+    """The per-rate-pair constants of :func:`_plan`, computed once per pair.
+
+    ``e2``/``e1`` are e^-Gamma and e^-gamma over one detection; ``za`` is
+    :attr:`MagicPlane.radius` and ``w_inf`` is None without the plane.
     """
-    r_m, s = _checked_relax(m, params)
-    r_s = s.r
+
+    big_g: float
+    small_g: float
+    e2: float
+    e1: float
+    z0: float | None
+    za: float
+    w_inf: float | None
+
+
+def _rates(params: RelaxationPair) -> _Rates:
     plane = magic_plane(params)
-    structure = _first_match(STRUCTURE_DECISIONS, r_m, r_s, plane.radius)
+    return _Rates(
+        *params,
+        *_detection_decays(params),
+        plane.z0,
+        plane.radius,
+        _w_inf(params, plane.z0) if plane.present else None,
+    )
+
+
+def _plan(y: float, z: float, k: _Rates) -> tuple[ControlStructure, float]:
+    """Structure and control time Tc at (y, z), which must lie in the open half-disk.
+
+    Plain floats in and out, so that the searches over many points build no
+    records. S = relax(M, 1) is (y*e2, 1 + (z - 1)*e1); the arcs run from S
+    in travel order: the z-axis, or the magic plane and then the z-axis.
+    """
+    r_m = math.hypot(y, z)
+    r_s = math.hypot(y * k.e2, 1.0 + (z - 1.0) * k.e1)
+    structure = _first_match(STRUCTURE_DECISIONS, r_m, r_s, k.za)
     if structure is ControlStructure.B:
-        arcs = ()
-    elif structure is ControlStructure.BSvPosB:
-        arcs = (("axis_arc", 0.0, r_s, 0.0, r_m, time_vertical(r_s, r_m, params)),)
-    elif structure is ControlStructure.BSvNegB:
-        arcs = (("axis_arc", 0.0, -r_s, 0.0, -r_m, time_vertical(-r_s, -r_m, params)),)
-    else:
-        z0 = plane.z0
-        y_in = math.sqrt(max(0.0, r_s * r_s - z0 * z0))
-        if structure is ControlStructure.BShB:
-            y_out = math.sqrt(max(0.0, r_m * r_m - z0 * z0))
-            arcs = (("magic_arc", y_in, z0, y_out, z0, time_magic(y_in, y_out, params)),)
-        else:  # BShSvNegB: ride the plane to the axis, then the axis up to -r_m
-            arcs = (
-                ("magic_arc", y_in, z0, 0.0, z0, time_magic(y_in, 0.0, params)),
-                ("axis_arc", 0.0, z0, 0.0, -r_m, time_vertical(z0, -r_m, params)),
-            )
-    return structure, s, arcs
+        return structure, 0.0
+    if structure is ControlStructure.BSvPosB:
+        return structure, _axis_time(r_s, r_m, k.small_g)
+    if structure is ControlStructure.BSvNegB:
+        return structure, _axis_time(-r_s, -r_m, k.small_g)
+    y_in = _plane_y(r_s, k.z0)
+    if structure is ControlStructure.BShB:
+        return structure, _magic_time(y_in, _plane_y(r_m, k.z0), k.big_g, k.w_inf)
+    # BShSvNegB: ride the plane to the axis, then the axis up to -r_m
+    return structure, (_magic_time(y_in, 0.0, k.big_g, k.w_inf)
+                       + _axis_time(k.z0, -r_m, k.small_g))
+
+
+def _checked(m: BlochState) -> BlochState:
+    """m, if it is a measurement point in the open half-disk, else DomainError."""
+    if not _in_half_disk(m.y, m.z):
+        raise DomainError(f"measurement point ({m.y}, {m.z}) is outside the half-disk y >= 0, |m| < 1")
+    return m
+
+
+def _q(y: float, z: float, k: _Rates) -> tuple[ControlStructure, float, float]:
+    """(structure, Tc, Q = y_m/sqrt(1 + Tc)) at (y, z) in the open half-disk."""
+    structure, t_c = _plan(y, z, k)
+    return structure, t_c, y / math.sqrt(1.0 + t_c)
+
+
+def classify(m: BlochState, params: RelaxationPair) -> ControlStructure:
+    """Optimal control structure for the measurement point m.
+
+    m must lie in the open half-disk (y >= 0, r < 1).
+    """
+    return _plan(*_checked(m), _rates(params))[0]
 
 
 def control_time(m: BlochState, params: RelaxationPair) -> tuple[ControlStructure, float]:
     """Structure tag and control duration Tc for the measurement point m."""
-    structure, _, arcs = _plan(m, params)
-    t_c = 0.0
-    for arc in arcs:
-        t_c += arc[-1]  # the duration
-    return structure, t_c
+    return _plan(*_checked(m), _rates(params))
 
 
 class QSample(NamedTuple):
@@ -123,8 +171,7 @@ class QSample(NamedTuple):
 
 def q_value(m: BlochState, params: RelaxationPair) -> QSample:
     """Figure of merit Q = y_m/sqrt(1 + Tc) at a single M point."""
-    structure, t_c = control_time(m, params)
-    return QSample(m, structure, t_c, m.y / math.sqrt(1.0 + t_c))
+    return QSample(m, *_q(*_checked(m), _rates(params)))
 
 
 def q_grid_arrays(
@@ -240,19 +287,36 @@ def build_trajectory(m: BlochState, params: RelaxationPair) -> Trajectory:
 
     Bangs are recorded with their signed flip angle (positive tips +z
     toward +y) and zero duration; arc durations come from the closed-form
-    travel times. The last segment is the detection from m back to S.
+    travel times. A bang joins S to the first arc and the last arc to m
+    (with no arc, structure B, one bang joins S to m). The last segment is
+    the detection from m back to S.
     """
-    structure, s, arcs = _plan(m, params)
+    k = _rates(params)
+    structure, t_c = _plan(*_checked(m), k)
+    s = relax(m, DETECTION_TIME, params)
+    r_m, r_s, z0 = m.r, s.r, k.z0
+    if structure is ControlStructure.B:
+        arcs = ()
+    elif structure is ControlStructure.BSvPosB:
+        arcs = (("axis_arc", (0.0, r_s), (0.0, r_m), t_c),)
+    elif structure is ControlStructure.BSvNegB:
+        arcs = (("axis_arc", (0.0, -r_s), (0.0, -r_m), t_c),)
+    elif structure is ControlStructure.BShB:
+        arcs = (("magic_arc", (_plane_y(r_s, z0), z0), (_plane_y(r_m, z0), z0), t_c),)
+    else:  # BShSvNegB; _plan sums the same two travel times into t_c
+        y_in = _plane_y(r_s, z0)
+        arcs = (
+            ("magic_arc", (y_in, z0), (0.0, z0), _magic_time(y_in, 0.0, k.big_g, k.w_inf)),
+            ("axis_arc", (0.0, z0), (0.0, -r_m), _axis_time(z0, -r_m, k.small_g)),
+        )
     segs: list[Segment] = []
     here = s
-    t_c = 0.0
-    for kind, y1, z1, y2, z2, duration in arcs:
-        start = BlochState(y1, z1)
+    for kind, start, end, duration in arcs:
+        start = BlochState(*start)
         if not segs:
             segs.append(_bang(s, start))
-        here = BlochState(y2, z2)
+        here = BlochState(*end)
         segs.append(Segment(kind, start, here, duration))
-        t_c += duration
     segs.append(_bang(here, m))
     segs.append(Segment("detection", m, s, DETECTION_TIME, params=params))
     return Trajectory(m, s, structure, tuple(segs), t_c)

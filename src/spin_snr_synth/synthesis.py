@@ -5,7 +5,8 @@ problem reduces to transferring the radius from r_s = |relax(M, 1)| to
 r_m = |M|. Radius growth is fastest on the upper z-axis, shrinkage on the
 horizontal "magic" plane z = z0 = -gamma/(2*(Gamma-gamma)) when it meets
 the unit ball, and otherwise on the lower z-axis. Five pulse structures
-result; this module classifies M points, computes the geometric boundary
+result; this module holds the decision that picks one for an M point
+(``qsurface.classify`` applies it), computes the geometric boundary
 curves between the structure regions, and partitions the rate plane into
 the three qualitative synthesis regimes.
 
@@ -20,7 +21,7 @@ import enum
 import math
 from typing import NamedTuple
 
-from .bloch import DETECTION_TIME, BlochState, RelaxationPair, relax
+from .bloch import DETECTION_TIME, BlochState, RelaxationPair
 from .errors import DomainError
 
 #: Tie tolerance on |r_s - r_m| and the magic-radius comparisons.
@@ -82,9 +83,20 @@ def ernst_ellipsoid_residual(m: BlochState, params: RelaxationPair) -> float:
     image keeps the same radius, i.e. the steady states reachable with a
     single instantaneous pulse.
     """
-    ys = m.y * math.exp(-params.gamma_t2 * DETECTION_TIME)
-    zs = 1.0 + (m.z - 1.0) * math.exp(-params.gamma_t1 * DETECTION_TIME)
-    return ys * ys + zs * zs - m.y * m.y - m.z * m.z
+    return _residual(m.y, m.z, *_detection_decays(params))
+
+
+def _detection_decays(params: RelaxationPair) -> tuple[float, float]:
+    """(e^-Gamma, e^-gamma) over one detection."""
+    return (math.exp(-params.gamma_t2 * DETECTION_TIME),
+            math.exp(-params.gamma_t1 * DETECTION_TIME))
+
+
+def _residual(y: float, z: float, e2: float, e1: float) -> float:
+    """:func:`ernst_ellipsoid_residual` at (y, z) from the detection decays."""
+    ys = y * e2
+    zs = 1.0 + (z - 1.0) * e1
+    return ys * ys + zs * zs - y * y - z * z
 
 
 def _first_match(decisions, *args):
@@ -119,22 +131,6 @@ STRUCTURE_DECISIONS = (
 def _in_half_disk(y: float, z: float) -> bool:
     """Whether (y, z) is a measurement point: y >= 0 and r_m = hypot(y, z) < 1."""
     return y >= 0.0 and math.hypot(y, z) < 1.0
-
-
-def _checked_relax(m: BlochState, params: RelaxationPair) -> tuple[float, BlochState]:
-    """(r_m, S) for a measurement point m in the open half-disk, else DomainError."""
-    if not _in_half_disk(m.y, m.z):
-        raise DomainError(f"measurement point ({m.y}, {m.z}) is outside the half-disk y >= 0, |m| < 1")
-    return m.r, relax(m, DETECTION_TIME, params)
-
-
-def classify(m: BlochState, params: RelaxationPair) -> ControlStructure:
-    """Optimal control structure for the measurement point m.
-
-    m must lie in the open half-disk (y >= 0, r < 1).
-    """
-    r_m, s = _checked_relax(m, params)
-    return _first_match(STRUCTURE_DECISIONS, r_m, s.r, magic_plane(params).radius)
 
 
 def regime_boundaries(gamma: float) -> tuple[float, float]:
@@ -175,7 +171,7 @@ def ellipsoid_y(z: float, params: RelaxationPair, tol: float = 1e-12) -> float |
     """
     if abs(z) > 1.0:
         return None
-    e1 = math.exp(-params.gamma_t1 * DETECTION_TIME)
+    e2, e1 = _detection_decays(params)
     axis_val = (1.0 + (z - 1.0) * e1) ** 2 - z * z  # residual at y = 0
     if axis_val < 0.0:
         return None
@@ -184,17 +180,13 @@ def ellipsoid_y(z: float, params: RelaxationPair, tol: float = 1e-12) -> float |
     y_hi = math.sqrt(max(0.0, 1.0 - z * z))
     if y_hi == 0.0:
         return None
-
-    def f(y: float) -> float:
-        return ernst_ellipsoid_residual(BlochState(y, z), params)
-
-    if f(y_hi) > 0.0:
+    if _residual(y_hi, z, e2, e1) > 0.0:
         # Ellipsoid exits the disk on this chord (only for unphysical rates).
         return None
     lo, hi = 0.0, y_hi
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
-        if f(mid) > 0.0:
+        if _residual(mid, z, e2, e1) > 0.0:
             lo = mid
         else:
             hi = mid

@@ -34,9 +34,10 @@ from spin_snr_synth import (
     simulate_structure,
     sweep_delta_pulse,
     synthesis,
+    time_magic,
 )
-from spin_snr_synth.oracle import _axis_arc, _bang_flow, _rk4_u_step
-from conftest import disk_states, rate_pairs, relax_inverse
+from spin_snr_synth.oracle import _axis_arc, _bang_flow, _feedback_flow
+from conftest import disk_states, fixed_step_flow, rate_pairs, relax_inverse
 
 
 class TestRelaxationPair:
@@ -217,16 +218,8 @@ class TestRotate:
         assert math.hypot(one.y - two.y, one.z - two.z) <= 1e-12
 
 
-def _fixed_step_flow(s, u, t, p, n=400):
-    """n equal Dormand-Prince steps under the constant field u; returns (y, z)."""
-    y, z, h = s.y, s.z, t / n
-    for _ in range(n):
-        y, z, _ = _rk4_u_step(y, z, h, lambda yy, zz: u, p.gamma_t2, p.gamma_t1)
-    return y, z
-
-
 class TestIntegrate:
-    """The oracle's exact constant-field flow and the free axis arc bisected on it."""
+    """The oracle's exact flows, and the free axis arc bisected on the constant-field one."""
 
     def test_free_evolution_matches_closed_form(self, params_b):
         s = BlochState(0.6, 0.3)
@@ -249,8 +242,24 @@ class TestIntegrate:
         t = 2.0 if abs(u) < 1.0 else 1.1 / abs(u)
         for s in (BlochState(0.3, 0.5), BlochState(-0.7, -0.6), EQUILIBRIUM):
             y, z = _bang_flow(s.y, s.z, u, t, params_b)
-            ref_y, ref_z = _fixed_step_flow(s, u, t, params_b)
+            ref_y, ref_z = fixed_step_flow(s, lambda yy, zz, u=u: u, t, params_b, 400)
             assert math.hypot(y - ref_y, z - ref_z) <= 1e-13
+
+    @pytest.mark.parametrize("rates", [(3.0, 0.5), (1.8, 1.0), (20.0, 2.0)])
+    @pytest.mark.parametrize("dz", [0.0, 1e-3, -1e-3])
+    def test_feedback_flow_matches_fixed_step_integration(self, rates, dz):
+        # u = -c/y holds the magic plane; dz starts the flow off it, as a
+        # finite-amplitude bang lands. At (20, 2) the e^(-2*Gamma*t) terms are stiffest.
+        params = RelaxationPair(*rates)
+        z0 = magic_plane(params).z0
+        c = params.gamma_t1 * (1.0 - z0)
+        for y in (0.9 * math.sqrt(1.0 - z0 * z0), 0.5, 0.1):
+            s = BlochState(y, z0 + dz)
+            # a quarter of the way to y = 0 on the plane, clear of the singular axis
+            t = 0.25 * time_magic(y, 0.0, params)
+            got = _feedback_flow(s.y, s.z, t, params)
+            ref = fixed_step_flow(s, lambda yy, zz: -c / yy, t, params, 2000)
+            assert math.hypot(got[0] - ref[0], got[1] - ref[1]) <= 1e-13
 
     def test_free_evolution_batch(self, params_b):
         # the axis arc, stopped where relax puts z after tau, lands at tau and at

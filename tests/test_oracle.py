@@ -57,10 +57,17 @@ def _rate_args(tag):
     return ["--Gamma", repr(big_g), "--gamma", repr(small_g)]
 
 
+def _assert_integrates_nothing():
+    # the Dormand-Prince stepper is gone; tests/conftest.py keeps it as a reference only
+    assert not hasattr(oracle, "_rk4_u_step")
+    assert not hasattr(oracle, "_LOCAL_TOL")
+
+
 @pytest.mark.parametrize("tag", sorted(REGIMES))
 def test_axis_time_matches_closed_form(monkeypatch, tag):
-    # u = 0 is a constant field: the axis arc runs on its exact flow, never the integrator
-    monkeypatch.setattr(oracle, "_rk4_u_step", lambda *args: pytest.fail("axis arc integrated"))
+    # u = 0 is a constant field: the axis arc runs on its exact flow alone
+    _assert_integrates_nothing()
+    monkeypatch.setattr(oracle, "_feedback_flow", lambda *args: pytest.fail("axis arc ran the feedback"))
     params = _params(tag)
     for z1, z2 in [(-0.95, 0.95), (-0.5, -0.49), (0.0, 0.9), (0.3, 0.3), (-0.2, 0.6)]:
         assert rk4_time_vertical(z1, z2, params) == pytest.approx(
@@ -80,6 +87,15 @@ def test_magic_time_matches_closed_form(tag):
 def test_magic_time_needs_the_plane():
     with pytest.raises(DomainError):
         rk4_time_magic(0.5, 0.1, _params("C"))
+
+
+@pytest.mark.parametrize("fn", [time_vertical, rk4_time_vertical, time_magic, rk4_time_magic])
+@pytest.mark.parametrize("args", [(math.nan, 0.1), (0.5, math.nan), (math.inf, 0.1),
+                                  (-math.inf, 0.1), (0.5, -math.inf)])
+def test_travel_times_reject_non_finite_arguments(fn, args):
+    # nan once came back as a silent 5e-324 (rk4_time_vertical), 0.0 (rk4_time_magic) or nan
+    with pytest.raises(DomainError):
+        fn(*args, _params("A"))
 
 
 def test_terminal_error_falls_with_amplitude():
@@ -135,22 +151,23 @@ def test_sweep_keeps_the_vectorised_bits(tag):
 
 @pytest.mark.parametrize("tag", sorted(REGIMES))
 def test_verification_passes_at_reduced_counts(monkeypatch, tag):
-    steps = []
-    step = oracle._rk4_u_step
+    _assert_integrates_nothing()
+    flows = []
+    flow = oracle._feedback_flow
 
     def counted(*args):
-        steps.append(args)
-        return step(*args)
+        flows.append(args)
+        return flow(*args)
 
-    monkeypatch.setattr(oracle, "_rk4_u_step", counted)
+    monkeypatch.setattr(oracle, "_feedback_flow", counted)
     report = run_verification(_params(tag), n_transfers=5, n_structure=10, n_qsurface=10)
     failed = [c.name for c in report.checks if not c.passed]
     assert report.passed, failed
     # a check that disappears would pass unmeasured
     expected = [n for n in CHECK_NAMES if tag in MAGIC_REGIMES or n != "magic-time-vs-rk4"]
     assert [c.name for c in report.checks] == expected
-    # only the magic feedback is integrated; every other field is propagated exactly
-    assert bool(steps) == (tag in MAGIC_REGIMES)
+    # the feedback flow runs exactly where the magic plane meets the disk
+    assert bool(flows) == (tag in MAGIC_REGIMES)
     for c in report.checks:
         if c.name in ("axis-time-vs-rk4", "magic-time-vs-rk4"):
             assert c.measured <= 1e-9

@@ -1,4 +1,5 @@
 import math
+import random
 
 import numpy as np
 import pytest
@@ -6,21 +7,25 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from spin_snr_synth import (
+    CLASSIFY_TOL,
     BlochState,
     ControlStructure,
     DomainError,
     RelaxationPair,
     build_trajectory,
+    classify,
     control_time,
     magic_plane,
     q_grid_arrays,
     q_value,
+    qsurface,
     relax,
     time_magic,
     time_vertical,
 )
 from spin_snr_synth.qsurface import _linspace, q_lattice_arrays
-from conftest import half_disk_states, rate_pairs, relax_inverse
+from spin_snr_synth.synthesis import STRUCTURE_DECISIONS, _boundary_points, _first_match, _in_half_disk
+from conftest import BIT_PAIRS, half_disk_states, rate_pairs, relax_inverse
 
 ERNST_POINT_B = BlochState(0.6892739804246589, 0.2689414213699951)
 
@@ -372,3 +377,82 @@ class TestPolyline:
         seg = build_trajectory(BlochState(0.3, 0.1), params_b).segments[0]
         with pytest.raises(DomainError):
             seg.polyline(-1)
+
+
+def reference_plan(m, params):
+    """The record-building plan that ``qsurface._plan`` replaced: (structure, S, arcs).
+
+    It relaxes through :func:`relax` and :class:`BlochState`, reads the magic plane
+    per point and sums the arc durations from 0.0, with the travel-time formulas
+    written out as they were.
+    """
+    r_m = m.r
+    s = relax(m, 1.0, params)
+    r_s = s.r
+    plane = magic_plane(params)
+    structure = _first_match(STRUCTURE_DECISIONS, r_m, r_s, plane.radius)
+    g = params.gamma_t1
+
+    def vertical(z1, z2):
+        return (math.log1p(-z1) - math.log1p(-z2)) / g
+
+    def magic(y1, y2):
+        w_inf = params.gamma_t1 * (1.0 - plane.z0) * plane.z0 / params.gamma_t2
+        return math.log((y1 * y1 - w_inf) / (y2 * y2 - w_inf)) / (2.0 * params.gamma_t2)
+
+    if structure is ControlStructure.B:
+        arcs = ()
+    elif structure is ControlStructure.BSvPosB:
+        arcs = (("axis_arc", 0.0, r_s, 0.0, r_m, vertical(r_s, r_m)),)
+    elif structure is ControlStructure.BSvNegB:
+        arcs = (("axis_arc", 0.0, -r_s, 0.0, -r_m, vertical(-r_s, -r_m)),)
+    else:
+        z0 = plane.z0
+        y_in = math.sqrt(max(0.0, r_s * r_s - z0 * z0))
+        if structure is ControlStructure.BShB:
+            y_out = math.sqrt(max(0.0, r_m * r_m - z0 * z0))
+            arcs = (("magic_arc", y_in, z0, y_out, z0, magic(y_in, y_out)),)
+        else:
+            arcs = (("magic_arc", y_in, z0, 0.0, z0, magic(y_in, 0.0)),
+                    ("axis_arc", 0.0, z0, 0.0, -r_m, vertical(z0, -r_m)))
+    return structure, s, arcs
+
+
+def _bit_points(params, n=1500):
+    """Seeded half-disk points plus points built on the ties r_s = r_m and r = |z0|."""
+    rng = random.Random(20261022)
+    pts = []
+    for _ in range(n):
+        r = 0.999 * math.sqrt(rng.random())
+        phi = rng.uniform(-0.5 * math.pi, 0.5 * math.pi)
+        pts.append((r * math.cos(phi), r * math.sin(phi)))
+    curves = _boundary_points(params, 200)
+    pts += curves.ernst_ellipsoid  # r_s = r_m
+    pts += curves.magic_radius_circle + curves.magic_radius_preimage  # r_m = |z0|, r_s = |z0|
+    return [BlochState(y, z) for y, z in pts if _in_half_disk(y, z)]
+
+
+class TestPlannerKeepsTheBits:
+    @pytest.mark.parametrize("rates", BIT_PAIRS, ids=str)
+    def test_structure_time_and_q(self, rates):
+        params = RelaxationPair(*rates)
+        k = qsurface._rates(params)
+        points = _bit_points(params)
+        ties = [m for m in points if abs(m.r - relax(m, 1.0, params).r) <= CLASSIFY_TOL]
+        assert ties  # the ellipsoid points land on the B tie
+        for m in points:
+            structure, s, arcs = reference_plan(m, params)
+            t_c = 0.0
+            for arc in arcs:
+                t_c += arc[-1]
+            q = m.y / math.sqrt(1.0 + t_c)
+            want = (structure, t_c.hex(), q.hex())
+            sample = q_value(m, params)
+            assert (sample.structure, sample.t_control.hex(), sample.q.hex()) == want, m
+            assert qsurface._q(m.y, m.z, k)[2].hex() == want[2]
+            assert classify(m, params) is structure
+            traj = build_trajectory(m, params)
+            assert (traj.structure, traj.t_control.hex(), traj.s) == (structure, want[1], s)
+            got_arcs = [(seg.kind, *seg.start, *seg.end, seg.duration)
+                        for seg in traj.segments if seg.kind.endswith("_arc")]
+            assert got_arcs == list(arcs)

@@ -1,4 +1,5 @@
 import math
+import random
 
 import numpy as np
 import pytest
@@ -22,8 +23,9 @@ from spin_snr_synth import (
     regime_boundaries,
     relax,
 )
-from spin_snr_synth.synthesis import STRUCTURE_DECISIONS, _boundary_points, _first_match, _select
-from conftest import disk_states, rate_pairs, relax_inverse
+from spin_snr_synth.synthesis import (STRUCTURE_DECISIONS, _boundary_points, _ellipsoid_z_bottom,
+                                      _first_match, _linspace, _select)
+from conftest import BIT_PAIRS, disk_states, rate_pairs, relax_inverse
 
 ERNST_POINT_B = BlochState(0.6892739804246589, 0.2689414213699951)
 
@@ -368,6 +370,26 @@ class TestBoundaryCurves:
             else:
                 assert row == [y, z]
 
+    @pytest.mark.parametrize("rates", BIT_PAIRS, ids=str)
+    def test_ellipsoid_y_keeps_the_bits(self, rates):
+        # the float bisection against the BlochState one it replaced, at both tolerances in use
+        params = RelaxationPair(*rates)
+        rng = random.Random(7)
+        zs = (_linspace(-1.0, 1.0, 401) + _linspace(_ellipsoid_z_bottom(params), 1.0, 256)
+              + [rng.uniform(-1.0, 1.0) for _ in range(200)])
+        found = 0
+        for tol in (1e-12, 1e-15):
+            for z in zs:
+                want = reference_ellipsoid_y(z, params, tol)
+                got = ellipsoid_y(z, params, tol=tol)
+                assert (got is None, got and got.hex()) == (want is None, want and want.hex()), z
+                found += want is not None
+        assert found
+        for _ in range(200):
+            m = BlochState(rng.uniform(0.0, 0.7), rng.uniform(-0.7, 0.7))
+            want = reference_residual(m.y, m.z, params)
+            assert ernst_ellipsoid_residual(m, params).hex() == want.hex()
+
     @given(rate_pairs())
     @settings(max_examples=30, deadline=None)
     def test_ellipsoid_solver_consistent_with_residual(self, p):
@@ -375,3 +397,34 @@ class TestBoundaryCurves:
             y = ellipsoid_y(z, p)
             if y is not None and y > 0.0:
                 assert abs(ernst_ellipsoid_residual(BlochState(y, z), p)) <= 1e-9
+
+
+def reference_residual(y, z, params):
+    """r_s^2 - r_m^2 as ``ernst_ellipsoid_residual`` computed it from a BlochState."""
+    m = BlochState(y, z)
+    ys = m.y * math.exp(-params.gamma_t2 * 1.0)
+    zs = 1.0 + (m.z - 1.0) * math.exp(-params.gamma_t1 * 1.0)
+    return ys * ys + zs * zs - m.y * m.y - m.z * m.z
+
+
+def reference_ellipsoid_y(z, params, tol):
+    """The bisection that ``ellipsoid_y`` ran on BlochState residuals, kept as its reference."""
+    if abs(z) > 1.0:
+        return None
+    e1 = math.exp(-params.gamma_t1 * 1.0)
+    axis_val = (1.0 + (z - 1.0) * e1) ** 2 - z * z
+    if axis_val < 0.0:
+        return None
+    if axis_val == 0.0:
+        return 0.0
+    y_hi = math.sqrt(max(0.0, 1.0 - z * z))
+    if y_hi == 0.0 or reference_residual(y_hi, z, params) > 0.0:
+        return None
+    lo, hi = 0.0, y_hi
+    while hi - lo > tol:
+        mid = 0.5 * (lo + hi)
+        if reference_residual(mid, z, params) > 0.0:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
